@@ -70,15 +70,15 @@ def _build_parser() -> _Parser:
     add_measure_arg(p_measure)
     p_measure.add_argument("--budget", type=int, default=None)
 
-    def add_shapley_args(p, with_method=True):
+    def add_shapley_args(p, select_facts=True):
         add_measure_arg(p)
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--fact", help="fact id, e.g. Trains:0")
-        group.add_argument("--all", action="store_true")
-        if with_method:
-            p.add_argument(
-                "--method", choices=["exact", "approx", "oracle"], default="exact"
-            )
+        if select_facts:
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("--fact", help="fact id, e.g. Trains:0")
+            group.add_argument("--all", action="store_true")
+        p.add_argument(
+            "--method", choices=["exact", "approx", "oracle"], default="exact"
+        )
         p.add_argument("--eps", type=float, default=0.1)
         p.add_argument("--delta", type=float, default=0.05)
         p.add_argument(
@@ -92,19 +92,8 @@ def _build_parser() -> _Parser:
     add_shapley_args(p_shapley)
 
     p_rank = sub.add_parser("rank", help="facts ranked by attribution")
-    add_measure_arg(p_rank)
+    add_shapley_args(p_rank, select_facts=False)
     p_rank.add_argument("--top", type=int, required=True)
-    p_rank.add_argument(
-        "--method", choices=["exact", "approx", "oracle"], default="exact"
-    )
-    p_rank.add_argument("--eps", type=float, default=0.1)
-    p_rank.add_argument("--delta", type=float, default=0.05)
-    p_rank.add_argument(
-        "--mode", choices=[m.value for m in Mode], default=Mode.ADDITIVE.value
-    )
-    p_rank.add_argument("--seed", type=int, default=None)
-    p_rank.add_argument("--samples", type=int, default=None)
-    p_rank.add_argument("--budget", type=int, default=None)
 
     p_oracle = sub.add_parser("oracle", help="brute-force reference values")
     group = p_oracle.add_mutually_exclusive_group(required=True)
@@ -129,6 +118,16 @@ def _resolve_seed(args) -> int:
     return 0
 
 
+def _approx_params(args) -> ApproxParams:
+    return ApproxParams(
+        epsilon=args.eps,
+        delta=args.delta,
+        mode=Mode(args.mode),
+        seed=_resolve_seed(args),
+        samples_override=args.samples,
+    )
+
+
 def _selected_facts(db, args):
     if getattr(args, "all", False):
         return list(db.facts)
@@ -148,13 +147,7 @@ def _compute_values(db, fds, facts, kind, args, out_estimates):
                 (fact.id, shapley_bruteforce_subsets(db, fds, fact, kind, engine=engine))
             )
     else:
-        params = ApproxParams(
-            epsilon=args.eps,
-            delta=args.delta,
-            mode=Mode(args.mode),
-            seed=_resolve_seed(args),
-            samples_override=args.samples,
-        )
+        params = _approx_params(args)
         engine = CoalitionEvaluator(db, fds, budget=args.budget)
         for fact in facts:
             est = estimate_shapley(db, fds, fact, kind, params, engine=engine)
@@ -164,18 +157,12 @@ def _compute_values(db, fds, facts, kind, args, out_estimates):
 
 
 def _approx_meta(args, kind, n):
-    params = ApproxParams(
-        epsilon=args.eps,
-        delta=args.delta,
-        mode=Mode(args.mode),
-        seed=_resolve_seed(args),
-        samples_override=args.samples,
-    )
+    params = _approx_params(args)
     return {
         "epsilon": args.eps,
         "delta": args.delta,
         "mode": args.mode,
-        "seed": _resolve_seed(args),
+        "seed": params.seed,
         "samples": sample_count(params, n, kind),
     }
 
@@ -287,3 +274,7 @@ def run_command(argv, stdout=None, stderr=None) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -1,16 +1,26 @@
-"""Exact Shapley values for the five measures, with chain dynamic programs.
+"""Exact Shapley values for the five measures: closed forms and chain DPs.
 
 Everything here is exact rational arithmetic (stdlib fractions); no floats.
 
-The attribution of a fact f is assembled from per-size expectations: with
-uniform random size-m subsets D' of D minus f,
+The pair-count and problematic-fact measures are direct closed forms in
+conflict degree, read off one adjacency of the fact's relation (facts of
+other relations never conflict with it, so they are null players):
+
+* pair count: the count is a sum over conflict edges of two-player
+  unanimity games, each split evenly, so Sh_MI(f) = deg(f)/2.
+* problematic-fact count: the count is a sum over facts g of the game
+  "g is present with a conflict partner".  f earns its own game when a
+  partner precedes it, and the game of each partner g when g precedes f
+  and f is g's first partner to arrive, so
+  Sh_P(f) = deg(f)/(deg(f)+1) + sum over g in N(f) of 1/(deg(g)(deg(g)+1)).
+
+Only the drastic, repair-cost, and repair-count measures use per-size
+expectations: with uniform random size-m subsets D' of D minus f,
 
     value(f) = (1/|D|) * sum over m of E[I(D' + f)] - E[I(D')].
 
-For the pair-count and problematic-fact measures those expectations have
-closed forms in conflict degrees.  For the drastic, repair-cost, and
-repair-count measures they are computed bottom-up over the block/subblock
-tree as integer tables per vertex:
+Those expectations are computed bottom-up over the block/subblock tree as
+integer tables per vertex:
 
 * drastic: count of size-j subsets that are consistent.  A block's subset
   is consistent iff it sits inside one subblock child (facts of different
@@ -33,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 from typing import Sequence
 
 from .block_tree import (
@@ -67,11 +77,6 @@ def shapley_eq1_combine(
     return total / n
 
 
-def _neighbor_ids(db: Database, fds: FDSet, fact: Fact) -> frozenset[str]:
-    graph = build_conflict_graph(db, fds)[fact.relation]
-    return frozenset(graph.facts[i].id for i in graph.neighbors(fact.index))
-
-
 def _require_member(db: Database, fact: Fact) -> None:
     if fact not in db:
         raise InputError(f"fact {fact.id} is not in the database")
@@ -81,75 +86,27 @@ def _require_member(db: Database, fact: Fact) -> None:
 # Closed forms: violating-pair count and problematic-fact count
 
 
-def shapley_mi(db: Database, fds: FDSet, fact: Fact) -> Fraction:
-    """Attribution under the violating-pair count.
-
-    A fact raises the count by i exactly when i of its conflict partners
-    precede it, which yields a closed form in its conflict degree; facts of
-    other relations never interact, so the sum runs over the fact's
-    relation alone.
-    """
+def _adjacency(db: Database, fds: FDSet, fact: Fact) -> dict[int, frozenset[int]]:
     _require_member(db, fact)
-    n = len(db.facts_of(fact.relation))
-    deg = len(_neighbor_ids(db, fds, fact))
-    total = 0
-    for i in range(1, deg + 1):
-        for m in range(i, n):
-            total += (
-                comb(deg, i)
-                * comb(n - deg - 1, m - i)
-                * factorial(m)
-                * factorial(n - m - 1)
-                * i
-            )
-    return Fraction(total, factorial(n))
+    return build_conflict_graph(db, fds)[fact.relation].adjacency
 
 
-def _problematic_expectations(
-    n: int, degrees: Sequence[int], conflicts_with_f: Sequence[bool], deg_f: int
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Per-size expectations of the problematic-fact count, with/without f.
-
-    The base set has n-1 facts (f removed); ``degrees`` are conflict
-    degrees inside that base set.  Without f, a fact g is problematic in a
-    random size-m subset iff it is selected together with at least one of
-    its conflict partners.  With f added, selection alone suffices for
-    facts conflicting f, and f itself turns problematic whenever one of
-    its deg_f partners is selected.
-    """
-    with_f: list[Fraction] = []
-    without: list[Fraction] = []
-    for m in range(n):
-        denom = comb(n - 1, m)
-        exp_wo = Fraction(0)
-        exp_w = Fraction(0)
-        for deg, conflicts_f in zip(degrees, conflicts_with_f):
-            picked = 0
-            for k in range(1, min(deg, m - 1) + 1):
-                picked += comb(deg, k) * comb(n - 2 - deg, m - 1 - k)
-            exp_wo += Fraction(picked, denom)
-            if conflicts_f:
-                exp_w += Fraction(comb(n - 2, m - 1) if m >= 1 else 0, denom)
-            else:
-                exp_w += Fraction(picked, denom)
-        if deg_f:
-            exp_w += 1 - Fraction(comb(n - 1 - deg_f, m), denom)
-        with_f.append(exp_w)
-        without.append(exp_wo)
-    return with_f, without
+def shapley_mi(db: Database, fds: FDSet, fact: Fact) -> Fraction:
+    """Attribution under the violating-pair count: half the conflict degree."""
+    return Fraction(len(_adjacency(db, fds, fact)[fact.index]), 2)
 
 
 def shapley_p(db: Database, fds: FDSet, fact: Fact) -> Fraction:
-    """Attribution under the problematic-fact count (facts in any violation)."""
-    _require_member(db, fact)
-    facts = db.facts_of(fact.relation)
-    n = len(facts)
-    neighbors = _neighbor_ids(db, fds, fact)
-    base = [g for g in facts if g.id != fact.id]
-    degrees = [len(_neighbor_ids(db, fds, g) - {fact.id}) for g in base]
-    conflicts_f = [g.id in neighbors for g in base]
-    with_f, without = _problematic_expectations(n, degrees, conflicts_f, len(neighbors))
-    return shapley_eq1_combine(with_f, without, n)
+    """Attribution under the problematic-fact count (facts in any violation).
+
+    deg(f)/(deg(f)+1) plus 1/(deg(g)(deg(g)+1)) for every conflict partner g.
+    """
+    adjacency = _adjacency(db, fds, fact)
+    partners = adjacency[fact.index]
+    deg = len(partners)
+    return Fraction(deg, deg + 1) + sum(
+        Fraction(1, len(adjacency[g]) * (len(adjacency[g]) + 1)) for g in partners
+    )
 
 
 # ---------------------------------------------------------------------------

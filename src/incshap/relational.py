@@ -8,6 +8,7 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import InputError, SchemaError
@@ -190,21 +191,23 @@ class ConflictGraph:
     def n(self) -> int:
         return len(self.facts)
 
-    def neighbors(self, index: int) -> frozenset[int]:
-        return self._adjacency()[index]
-
-    def degree(self, index: int) -> int:
-        return len(self._adjacency()[index])
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in set(self.edges)
-
-    def _adjacency(self) -> dict[int, frozenset[int]]:
-        adj: dict[int, set[int]] = {i: set() for i in range(self.n)}
+    @cached_property
+    def adjacency(self) -> dict[int, frozenset[int]]:
+        """Conflict partners of every vertex, built once per graph."""
+        adj: dict[int, set[int]] = {f.index: set() for f in self.facts}
         for i, j in self.edges:
             adj[i].add(j)
             adj[j].add(i)
         return {i: frozenset(s) for i, s in adj.items()}
+
+    def neighbors(self, index: int) -> frozenset[int]:
+        return self.adjacency[index]
+
+    def degree(self, index: int) -> int:
+        return len(self.adjacency[index])
+
+    def has_edge(self, i: int, j: int) -> bool:
+        return j in self.adjacency.get(i, ())
 
 
 def _check_same_schema(f: Fact, g: Fact, fds: FDSet) -> None:

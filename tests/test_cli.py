@@ -2,8 +2,12 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import incshap
 from incshap.cli import run_command
 
 from conftest import DATA_DIR
@@ -36,6 +40,21 @@ def test_classify(tmp_path):
     code, out, _ = run(["--manifest", write_matching_manifest(tmp_path), "classify"])
     assert code == 0
     assert out.strip() == "R: PTimeCRepairNoChain"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(incshap.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "incshap", "--manifest", TRAINS, "classify"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Trains: LhsChain" in proc.stdout
 
 
 def test_classify_dump_tree():

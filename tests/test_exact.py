@@ -17,6 +17,7 @@ from incshap import (
     build_conflict_graph,
     build_tree,
     classify,
+    measure,
     drastic_tables,
     mc_tables,
     multi_relation_combine,
@@ -95,6 +96,38 @@ class TestClosedForms:
 
         with pytest.raises(InputError):
             shapley_mi(db, fds, Fact("R", ("z", "9"), 42))
+
+    def test_efficiency_at_scale(self):
+        """Values sum to I(D) on the n=200 ladder plus a relation with no lhs chain."""
+        rng = random.Random(0)
+
+        def distinct_rows(n, domains):
+            rows = {}
+            while len(rows) < n:
+                rows.setdefault(tuple(f"{p}{rng.randrange(k)}" for p, k in domains), None)
+            return list(rows)
+
+        schema = Schema.from_dict({"R": ["A", "B", "C", "D"], "S": ["X", "Y", "Z"]})
+        fds = FDSet(
+            schema,
+            (
+                FD("R", frozenset({"A"}), frozenset({"B"})),
+                FD("R", frozenset({"A", "C"}), frozenset({"D"})),
+                FD("S", frozenset({"X"}), frozenset({"Z"})),
+                FD("S", frozenset({"Y"}), frozenset({"Z"})),
+            ),
+        )
+        db = Database.build(
+            schema,
+            {
+                "R": distinct_rows(200, [("a", 20), ("b", 3), ("c", 3), ("d", 4)]),
+                "S": distinct_rows(60, [("x", 8), ("y", 8), ("z", 3)]),
+            },
+        )
+        assert classify(fds)["S"].kind is not TractabilityKind.LHS_CHAIN
+        for kind in (MeasureKind.MI, MeasureKind.P):
+            total = sum(shapley_exact(db, fds, f, kind) for f in db.facts)
+            assert total == measure(kind, db, fds) > 0
 
 
 class TestDrasticTables:

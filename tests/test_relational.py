@@ -75,6 +75,22 @@ def test_conflict_graph_mini(mini):
     assert graph.degree(0) == 1 and graph.degree(2) == 0
 
 
+def test_conflict_graph_accessors_agree_with_edges(trains):
+    db, fds = trains
+    graph = build_conflict_graph(db, fds)["Trains"]
+    edges = set(graph.edges)
+    for i in range(graph.n):
+        expected = {j for j in range(graph.n) if (min(i, j), max(i, j)) in edges}
+        assert graph.neighbors(i) == expected
+        assert graph.degree(i) == len(expected)
+        for j in range(graph.n):
+            assert graph.has_edge(i, j) == graph.has_edge(j, i) == (j in expected)
+    assert not graph.has_edge(0, 0)
+    assert not graph.has_edge(0, graph.n)
+    assert not graph.has_edge(graph.n, 0)
+    assert not graph.has_edge(-1, 0)
+
+
 def test_is_consistent_cases(trains):
     db, fds = trains
     assert not is_consistent(db, fds)
