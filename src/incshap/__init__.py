@@ -9,7 +9,7 @@ brute-force oracle for verification.
 """
 
 from .approx import ApproxParams, Estimate, Guarantee, Mode, estimate_shapley, sample_count
-from .block_tree import BlockTree, FactVertexRelation, build_tree, relate
+from .block_tree import BlockTree, build_tree
 from .errors import (
     BudgetExceededError,
     IncshapError,

@@ -24,12 +24,6 @@ class VertexKind(enum.Enum):
     SUBBLOCK = "subblock"
 
 
-class FactVertexRelation(enum.Enum):
-    CONFLICTS = "conflicts"
-    MATCHES = "matches"
-    NEITHER = "neither"
-
-
 @dataclass(eq=False)
 class Vertex:
     kind: VertexKind
@@ -116,33 +110,3 @@ def build_tree(facts: Iterable[Fact], chain: tuple[FD, ...], schema: Schema) -> 
     if facts:
         expand(root, 1)
     return BlockTree(relation, chain, root, schema)
-
-
-def relate(fact: Fact, vertex: Vertex, chain: tuple[FD, ...], schema: Schema) -> FactVertexRelation:
-    """How an external fact interacts with a vertex's facts.
-
-    Conflicts: the fact violates one of the already-grouped FDs with every
-    fact of the vertex (levels below i for blocks, up to i for subblocks).
-    Matches: the fact agrees with the vertex on every attribute grouped so
-    far.  Conflict takes precedence; anything else is Neither, and then the
-    fact cannot violate any chain FD with any fact of the vertex.
-    """
-    if vertex.kind is VertexKind.ROOT:
-        return FactVertexRelation.MATCHES
-    if not vertex.facts:
-        return FactVertexRelation.NEITHER
-    rep = vertex.facts[0]
-    level = vertex.level
-    upto = level - 1 if vertex.kind is VertexKind.BLOCK else level
-    for fd in chain[:upto]:
-        if schema.project(fact, fd.lhs) == schema.project(rep, fd.lhs) and (
-            schema.project(fact, fd.rhs) != schema.project(rep, fd.rhs)
-        ):
-            return FactVertexRelation.CONFLICTS
-    match_attrs: set[str] = set()
-    for fd in chain[: level - 1]:
-        match_attrs |= fd.lhs | fd.rhs
-    match_attrs |= chain[level - 1].lhs
-    if schema.project(fact, match_attrs) == schema.project(rep, match_attrs):
-        return FactVertexRelation.MATCHES
-    return FactVertexRelation.NEITHER

@@ -19,8 +19,8 @@ expectations: with uniform random size-m subsets D' of D minus f,
 
     value(f) = (1/|D|) * sum over m of E[I(D' + f)] - E[I(D')].
 
-Those expectations are computed bottom-up over the block/subblock tree as
-integer tables per vertex:
+Those expectations are computed bottom-up over the block/subblock tree of
+a set of facts, as integer tables per subset size:
 
 * drastic: count of size-j subsets that are consistent.  A block's subset
   is consistent iff it sits inside one subblock child (facts of different
@@ -37,23 +37,24 @@ integer tables per vertex:
 
 Dividing a table entry by C(n, j) recovers the probability or expectation;
 the integer form keeps the convolutions exact and cheap.
+
+Every DP is fact-free: it tabulates one fact set, and the tables "with f"
+follow from two of them.  A size-(j+1) subset of D_r either leaves f out or
+is S + f with |S| = j, so with[j] = full[j+1] - without[j+1], where full is
+the table of D_r and without that of D_r - f.  The identity holds entry by
+entry for all three tables (for consistent counts too, since
+C(n, j+1) - C(n-1, j+1) = C(n-1, j)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import comb
 from typing import Sequence
 
-from .block_tree import (
-    BlockTree,
-    FactVertexRelation,
-    Vertex,
-    VertexKind,
-    build_tree,
-    relate,
-)
+from .block_tree import BlockTree, Vertex, VertexKind, build_tree
 from .errors import InputError, IntractableExactError
 from .fd_analysis import TractabilityKind, classify_relation
 from .measures import MeasureKind
@@ -115,20 +116,22 @@ def shapley_p(db: Database, fds: FDSet, fact: Fact) -> Fraction:
 
 @dataclass(frozen=True)
 class SizeIndexedTable:
-    """Per-subset-size values at one vertex (or one relation's root).
+    """Per-subset-size values over one tree's facts (one relation's base set).
 
     variant "violating": counts[j] = number of size-j subsets violating the
-    FDs (together with the external fact, for with-fact tables).
+    FDs.
     variant "repair_sum": counts[j] = summed repair count over size-j
     subsets, i.e. the expectation numerator over C(size, j).
     variant "cost": counts[j][t] = number of size-j subsets whose
     cardinality-repair cost is t.
+
+    A with-fact table counts every size-j subset S of the base set as
+    S + f for the external fact f.
     """
 
     size: int
     variant: str
     counts: tuple
-    with_fact: bool = False
 
     def expectation(self, j: int) -> Fraction:
         total = comb(self.size, j)
@@ -142,12 +145,6 @@ class SizeIndexedTable:
         return [self.expectation(j) for j in range(self.size + 1)]
 
 
-def _vertex_relations(tree: BlockTree, fact: Fact | None):
-    if fact is None:
-        return {}
-    return {v: relate(fact, v, tree.chain, tree.schema) for v in tree.vertices()}
-
-
 def _convolve(a: list[int], b: list[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -159,152 +156,49 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def _binomials(n: int) -> list[int]:
+    return [comb(n, j) for j in range(n + 1)]
+
+
 # -- drastic: consistent-subset counts
 
 
-def _consistent_counts(
-    tree: BlockTree, fact: Fact | None = None
-) -> dict[Vertex, list[int]]:
-    rel = _vertex_relations(tree, fact)
-    without = _consistent_counts(tree) if fact is not None else None
-    tables: dict[Vertex, list[int]] = {}
-
-    def visit(v: Vertex) -> None:
-        for c in v.children:
-            visit(c)
-        n = v.size
-        if fact is not None and rel[v] is FactVertexRelation.CONFLICTS:
-            # every non-empty subset violates together with the external fact
-            table = [1] + [0] * n
-        elif v.is_leaf:
-            # leaf facts agree on every constrained attribute
-            table = [comb(n, j) for j in range(n + 1)]
-        elif fact is not None and rel[v] is FactVertexRelation.NEITHER:
-            table = list(without[v])
-        elif v.kind is VertexKind.BLOCK:
-            # consistent subsets of a block lie inside a single subblock child
-            table = [0] * (n + 1)
-            table[0] = 1
-            for c in v.children:
-                child = tables[c]
-                for j in range(1, c.size + 1):
-                    table[j] += child[j]
-        else:
-            # subblock/root children never conflict with each other
-            table = [1]
-            for c in v.children:
-                table = _convolve(table, tables[c])
-        tables[v] = table
-
-    visit(tree.root)
-    return tables
-
-
-def drastic_tables_by_vertex(
-    tree: BlockTree, fact: Fact | None = None
-) -> dict[Vertex, SizeIndexedTable]:
-    counts = _consistent_counts(tree, fact)
-    return {
-        v: SizeIndexedTable(
-            v.size,
-            "violating",
-            tuple(comb(v.size, j) - c for j, c in enumerate(table)),
-            with_fact=fact is not None,
-        )
-        for v, table in counts.items()
-    }
-
-
-def drastic_tables(tree: BlockTree, fact: Fact | None = None) -> SizeIndexedTable:
-    """Root table of violating-subset counts (with or without an external fact)."""
-    return drastic_tables_by_vertex(tree, fact)[tree.root]
+def _consistent_block(n: int, children: list[list[int]]) -> list[int]:
+    """Consistent subsets of a block lie inside a single subblock child."""
+    table = [1] + [0] * n
+    for child in children:
+        for j in range(1, len(child)):
+            table[j] += child[j]
+    return table
 
 
 # -- repair count: summed repair counts
 
 
-def _spread(child: list[int], child_size: int, total_size: int, skip_empty: bool) -> list[int]:
-    """Weigh one child's per-size sums by free choices among the other facts."""
+def _spread(child: list[int], total_size: int) -> list[int]:
+    """Weigh one child's non-empty per-size sums by free choices among the other facts."""
     table = [0] * (total_size + 1)
-    rest = total_size - child_size
-    start = 1 if skip_empty else 0
-    for jc in range(start, child_size + 1):
+    rest = total_size - (len(child) - 1)
+    for jc in range(1, len(child)):
         if not child[jc]:
             continue
-        for j in range(jc, min(total_size, jc + rest) + 1):
+        for j in range(jc, jc + rest + 1):
             table[j] += child[jc] * comb(rest, j - jc)
     return table
 
 
-def _repair_sum_tables(
-    tree: BlockTree, fact: Fact | None = None
-) -> dict[Vertex, list[int]]:
-    rel = _vertex_relations(tree, fact)
-    without = _repair_sum_tables(tree) if fact is not None else None
-    tables: dict[Vertex, list[int]] = {}
+def _repair_sum_block(n: int, children: list[list[int]]) -> list[int]:
+    """Summed repair counts of a block from its subblock children's.
 
-    def visit(v: Vertex) -> None:
-        for c in v.children:
-            visit(c)
-        n = v.size
-        if fact is not None and rel[v] is FactVertexRelation.CONFLICTS:
-            # {fact} is one additional repair of every subset (incl. empty)
-            base = without[v]
-            table = [1] + [base[j] + comb(n, j) for j in range(1, n + 1)]
-        elif v.is_leaf:
-            table = [comb(n, j) for j in range(n + 1)]
-        elif fact is not None and rel[v] is FactVertexRelation.NEITHER:
-            table = list(without[v])
-        elif v.kind is VertexKind.BLOCK:
-            # Each repair of a block subset lives in one non-empty child
-            # part, so child sums (empty part excluded) add against free
-            # choices in the rest of the block; the empty subset carries
-            # one repair.  With an external fact, the matching child hosts
-            # the fact (its with-fact sums already cover the {fact}-only
-            # repair); with no matching child, {fact} is one extra repair
-            # of every subset.
-            table = [0] * (n + 1)
-            matching = None
-            if fact is not None:
-                for c in v.children:
-                    if rel[c] is FactVertexRelation.MATCHES:
-                        matching = c
-                        break
-            for c in v.children:
-                source = tables[c] if (fact is None or c is matching) else without[c]
-                skip_empty = not (fact is not None and c is matching)
-                part = _spread(source, c.size, n, skip_empty)
-                for j in range(n + 1):
-                    table[j] += part[j]
-            if fact is None:
-                table[0] += 1
-            elif matching is None:
-                for j in range(n + 1):
-                    table[j] += comb(n, j)
-        else:
-            # subblock/root: independent children, repair counts multiply
-            table = [1]
-            for c in v.children:
-                table = _convolve(table, tables[c])
-        tables[v] = table
-
-    visit(tree.root)
-    return tables
-
-
-def mc_tables_by_vertex(
-    tree: BlockTree, fact: Fact | None = None
-) -> dict[Vertex, SizeIndexedTable]:
-    tables = _repair_sum_tables(tree, fact)
-    return {
-        v: SizeIndexedTable(v.size, "repair_sum", tuple(t), with_fact=fact is not None)
-        for v, t in tables.items()
-    }
-
-
-def mc_tables(tree: BlockTree, fact: Fact | None = None) -> SizeIndexedTable:
-    """Root table of summed repair counts (with or without an external fact)."""
-    return mc_tables_by_vertex(tree, fact)[tree.root]
+    Each repair of a non-empty block subset lives in one non-empty child
+    part, so child sums add against free choices in the rest of the block;
+    the empty subset carries its one (empty) repair.
+    """
+    table = [1] + [0] * n
+    for child in children:
+        for j, x in enumerate(_spread(child, n)):
+            table[j] += x
+    return table
 
 
 # -- repair cost: per-(size, cost) subset counts
@@ -338,10 +232,7 @@ def _cost_block_merge(acc: list[list[int]], child: list[list[int]]) -> list[list
     accumulated side's.  For a fixed total t the winning side's cost is
     pinned (w1 = t - j2 or w2 = t - j1) and the losing side sums over its
     compatible range, strictly above the threshold on one side so ties are
-    counted exactly once.  The same merge serves the with-fact variant:
-    there both tables already price the external fact in, and the identity
-    min(w1 + j2, w2 + j1) still computes the joint cost because the fact is
-    kept or deleted within whichever side wins.
+    counted exactly once.
     """
     na, nc = len(acc) - 1, len(child) - 1
     n = na + nc
@@ -367,61 +258,86 @@ def _cost_block_merge(acc: list[list[int]], child: list[list[int]]) -> list[list
     return out
 
 
-def _cost_tables(
-    tree: BlockTree, fact: Fact | None = None
-) -> dict[Vertex, list[list[int]]]:
-    rel = _vertex_relations(tree, fact)
-    without = _cost_tables(tree) if fact is not None else None
-    tables: dict[Vertex, list[list[int]]] = {}
+# -- one bottom-up pass per tree, and the with-fact identity
 
-    def visit(v: Vertex) -> None:
-        for c in v.children:
-            visit(c)
-        n = v.size
-        if fact is not None and rel[v] is FactVertexRelation.CONFLICTS:
-            # keeping anything here forces deleting the external fact: +1 cost
-            base = without[v]
-            table = [[0] * (j + 1) for j in range(n + 1)]
-            table[0][0] = 1
-            for j in range(1, n + 1):
-                for t in range(1, j + 1):
-                    table[j][t] = base[j][t - 1]
-        elif v.is_leaf:
-            table = _cost_leaf(n)
-        elif fact is not None and rel[v] is FactVertexRelation.NEITHER:
-            table = [row[:] for row in without[v]]
-        elif v.kind is VertexKind.BLOCK:
-            table = [[1]]
-            for c in v.children:
-                table = _cost_block_merge(table, tables[c])
-        else:
-            table = [[1]]
-            for c in v.children:
-                table = _cost_convolve(table, tables[c])
-        tables[v] = table
-
-    visit(tree.root)
-    return tables
+# Per measure: the table of a leaf of n facts (they agree on every
+# constrained attribute), of a block of n facts from its subblock children's
+# tables, and of two fact sets that never conflict (the children of a
+# subblock or of the root).
+_DPS = {
+    MeasureKind.DRASTIC: (_binomials, _consistent_block, _convolve),
+    MeasureKind.MC: (_binomials, _repair_sum_block, _convolve),
+    MeasureKind.R: (
+        _cost_leaf,
+        lambda n, children: reduce(_cost_block_merge, children),
+        _cost_convolve,
+    ),
+}
 
 
-def r_tables_by_vertex(
-    tree: BlockTree, fact: Fact | None = None
-) -> dict[Vertex, SizeIndexedTable]:
-    tables = _cost_tables(tree, fact)
-    return {
-        v: SizeIndexedTable(
-            v.size,
-            "cost",
-            tuple(tuple(row) for row in t),
-            with_fact=fact is not None,
+def _root_table(tree: BlockTree, kind: MeasureKind) -> SizeIndexedTable:
+    leaf, block, join = _DPS[kind]
+
+    def fold(v: Vertex) -> list:
+        if v.is_leaf:
+            return leaf(v.size)
+        children = [fold(c) for c in v.children]
+        if v.kind is VertexKind.BLOCK:
+            return block(v.size, children)
+        return reduce(join, children)
+
+    n = tree.root.size
+    counts = fold(tree.root)
+    if kind is MeasureKind.DRASTIC:
+        return SizeIndexedTable(n, "violating", tuple(comb(n, j) - c for j, c in enumerate(counts)))
+    if kind is MeasureKind.MC:
+        return SizeIndexedTable(n, "repair_sum", tuple(counts))
+    return SizeIndexedTable(n, "cost", tuple(tuple(row) for row in counts))
+
+
+def _containing_fact(full: SizeIndexedTable, without: SizeIndexedTable) -> SizeIndexedTable:
+    """Table of S + f over the base set, from the tables over base + f and base.
+
+    A size-(j+1) subset of base + f either leaves f out or is S + f with
+    |S| = j, so entry j is full[j+1] - without[j+1] (no subset of the base
+    set has size |base| + 1).  Cost rows subtract entry by entry; S + f
+    never costs j + 1, so the row's last entry is 0 and is dropped.
+    """
+    if full.variant == "cost":
+        later = without.counts[1:] + ((0,) * (full.size + 1),)
+        counts = tuple(
+            tuple(a - b for a, b in zip(row, other))[:-1]
+            for row, other in zip(full.counts[1:], later)
         )
-        for v, t in tables.items()
-    }
+    else:
+        later = without.counts[1:] + (0,)
+        counts = tuple(a - b for a, b in zip(full.counts[1:], later))
+    return SizeIndexedTable(without.size, full.variant, counts)
+
+
+def _tables(tree: BlockTree, kind: MeasureKind, fact: Fact | None) -> SizeIndexedTable:
+    table = _root_table(tree, kind)
+    if fact is None:
+        return table
+    if fact in tree.root.facts:
+        raise InputError(f"external fact {fact.id} is already one of the tree's facts")
+    full = build_tree(tree.root.facts + (fact,), tree.chain, tree.schema)
+    return _containing_fact(_root_table(full, kind), table)
+
+
+def drastic_tables(tree: BlockTree, fact: Fact | None = None) -> SizeIndexedTable:
+    """Root table of violating-subset counts (with or without an external fact)."""
+    return _tables(tree, MeasureKind.DRASTIC, fact)
+
+
+def mc_tables(tree: BlockTree, fact: Fact | None = None) -> SizeIndexedTable:
+    """Root table of summed repair counts (with or without an external fact)."""
+    return _tables(tree, MeasureKind.MC, fact)
 
 
 def r_tables(tree: BlockTree, fact: Fact | None = None) -> SizeIndexedTable:
-    """Root table of per-(size, cost) subset counts."""
-    return r_tables_by_vertex(tree, fact)[tree.root]
+    """Root table of per-(size, cost) subset counts (with or without an external fact)."""
+    return _tables(tree, MeasureKind.R, fact)
 
 
 # ---------------------------------------------------------------------------
@@ -439,29 +355,23 @@ def _chain_for(fds: FDSet, relation: str) -> tuple:
     return cls.chain
 
 
-_TABLE_BUILDERS = {
-    MeasureKind.DRASTIC: drastic_tables,
-    MeasureKind.MC: mc_tables,
-    MeasureKind.R: r_tables,
-}
-
-
 def _relation_tables(
     db: Database, fds: FDSet, relation: str, kind: MeasureKind, fact: Fact | None
 ) -> tuple[SizeIndexedTable, SizeIndexedTable]:
     """(without, with) root tables over one relation's base set.
 
     The base set excludes `fact` when it belongs to this relation; the
-    with-table then differs, otherwise both are the same object.  One tree
-    is built per (relation, fact) pair and reused by both variants.
+    with-table then comes from the tables over the relation with and
+    without the fact, otherwise both are the same object.
     """
     chain = _chain_for(fds, relation)
-    facts = [g for g in db.facts_of(relation) if fact is None or g.id != fact.id]
-    tree = build_tree(facts, chain, db.schema)
-    builder = _TABLE_BUILDERS[kind]
-    without = builder(tree)
-    with_f = builder(tree, fact) if fact is not None else without
-    return without, with_f
+    facts = db.facts_of(relation)
+    full = _root_table(build_tree(facts, chain, db.schema), kind)
+    if fact is None:
+        return full, full
+    base = [g for g in facts if g.id != fact.id]
+    without = _root_table(build_tree(base, chain, db.schema), kind)
+    return without, _containing_fact(full, without)
 
 
 def multi_relation_combine(

@@ -1,4 +1,4 @@
-"""Block/subblock tree construction and the external-fact relation."""
+"""Block/subblock tree construction."""
 
 import itertools
 import random
@@ -7,13 +7,11 @@ import pytest
 
 from incshap import (
     Database,
-    FactVertexRelation,
     FDSet,
     Schema,
     build_conflict_graph,
     build_tree,
     classify,
-    relate,
     violates,
 )
 from incshap.block_tree import VertexKind
@@ -74,38 +72,6 @@ def test_non_chain_order_rejected(trains):
     chain = _chain(fds, "Trains")
     with pytest.raises(InputError):
         build_tree(db.facts, tuple(reversed(chain)), db.schema)
-
-
-def test_relate_trains_examples(trains):
-    db, fds = trains
-    chain = _chain(fds, "Trains")
-    f9 = db.get("Trains:8")
-    base = [f for f in db.facts if f.id != f9.id]
-    tree = build_tree(base, chain, db.schema)
-    level1_block = tree.root.children[0]
-    nyp = level1_block.children[0]
-    assert relate(f9, nyp, chain, db.schema) is FactVertexRelation.CONFLICTS
-    assert relate(f9, level1_block, chain, db.schema) is FactVertexRelation.MATCHES
-
-    # a different train number matches nothing and conflicts with nothing
-    from incshap import Fact
-
-    other = Fact("Trains", ("99", "NYP", "BBY", "1030", "315"), 99)
-    assert relate(other, level1_block, chain, db.schema) is FactVertexRelation.NEITHER
-    assert relate(other, nyp, chain, db.schema) is FactVertexRelation.NEITHER
-
-
-def test_relate_matching_leaf(mini):
-    db, fds = mini
-    chain = _chain(fds, "R")
-    from incshap import Fact
-
-    tree = build_tree([db.facts[0]], chain, db.schema)  # ("a", "1")
-    leaf = [v for v in tree.vertices() if v.is_leaf][0]
-    twin = Fact("R", ("a", "1"), 77)
-    assert relate(twin, leaf, chain, db.schema) is FactVertexRelation.MATCHES
-    clash = Fact("R", ("a", "9"), 78)
-    assert relate(clash, leaf, chain, db.schema) is FactVertexRelation.CONFLICTS
 
 
 def test_cross_subblock_pairs_violate_and_tree_is_deterministic():

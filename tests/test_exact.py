@@ -10,6 +10,7 @@ from incshap import (
     CoalitionEvaluator,
     Database,
     FD,
+    Fact,
     FDSet,
     IntractableExactError,
     MeasureKind,
@@ -32,7 +33,6 @@ from incshap import (
     shapley_r,
 )
 from incshap.errors import InputError
-from incshap.exact import drastic_tables_by_vertex, r_tables_by_vertex
 from incshap.fd_analysis import TractabilityKind
 
 from conftest import (
@@ -47,6 +47,14 @@ def _chain(fds, relation):
 
 
 half = Fraction(1, 2)
+
+
+def _distinct_rows(rng, n, domains):
+    """n distinct rows; column i takes values prefix_i + str(0..k_i-1)."""
+    rows = {}
+    while len(rows) < n:
+        rows.setdefault(tuple(f"{p}{rng.randrange(k)}" for p, k in domains), None)
+    return list(rows)
 
 
 class TestCombine:
@@ -100,13 +108,6 @@ class TestClosedForms:
     def test_efficiency_at_scale(self):
         """Values sum to I(D) on the n=200 ladder plus a relation with no lhs chain."""
         rng = random.Random(0)
-
-        def distinct_rows(n, domains):
-            rows = {}
-            while len(rows) < n:
-                rows.setdefault(tuple(f"{p}{rng.randrange(k)}" for p, k in domains), None)
-            return list(rows)
-
         schema = Schema.from_dict({"R": ["A", "B", "C", "D"], "S": ["X", "Y", "Z"]})
         fds = FDSet(
             schema,
@@ -120,8 +121,8 @@ class TestClosedForms:
         db = Database.build(
             schema,
             {
-                "R": distinct_rows(200, [("a", 20), ("b", 3), ("c", 3), ("d", 4)]),
-                "S": distinct_rows(60, [("x", 8), ("y", 8), ("z", 3)]),
+                "R": _distinct_rows(rng, 200, [("a", 20), ("b", 3), ("c", 3), ("d", 4)]),
+                "S": _distinct_rows(rng, 60, [("x", 8), ("y", 8), ("z", 3)]),
             },
         )
         assert classify(fds)["S"].kind is not TractabilityKind.LHS_CHAIN
@@ -145,12 +146,13 @@ class TestDrasticTables:
         chain = _chain(fds, "Trains")
         base = [f for f in db.facts if f.id != "Trains:8"]
         tree = build_tree(base, chain, db.schema)
-        tables = drastic_tables_by_vertex(tree)
         bby = tree.find(["Trains:5", "Trains:6", "Trains:7"])
-        assert tables[bby].expectation(2) == Fraction(1, 3)
-        assert tables[bby].expectation(3) == 1
+        table = drastic_tables(build_tree(bby.facts, chain, db.schema))
+        assert table.expectation(2) == Fraction(1, 3)
+        assert table.expectation(3) == 1
         same_duration = tree.find(["Trains:5", "Trains:6"])
-        assert tables[same_duration].expectation(2) == 1
+        table = drastic_tables(build_tree(same_duration.facts, chain, db.schema))
+        assert table.expectation(2) == 1
 
     def test_conflicting_vertex_all_sizes_violate(self, trains):
         db, fds = trains
@@ -158,9 +160,9 @@ class TestDrasticTables:
         f9 = db.get("Trains:8")
         base = [f for f in db.facts if f.id != f9.id]
         tree = build_tree(base, chain, db.schema)
-        tables = drastic_tables_by_vertex(tree, f9)
         nyp = tree.find(["Trains:0", "Trains:1"])
-        assert tables[nyp].counts == (0, comb(2, 1), comb(2, 2))
+        table = drastic_tables(build_tree(nyp.facts, chain, db.schema), f9)
+        assert table.counts == (0, comb(2, 1), comb(2, 2))
 
 
 class TestRTables:
@@ -175,10 +177,10 @@ class TestRTables:
         chain = _chain(fds, "Trains")
         base = [f for f in db.facts if f.id != "Trains:8"]
         tree = build_tree(base, chain, db.schema)
-        tables = r_tables_by_vertex(tree)
         bby = tree.find(["Trains:5", "Trains:6", "Trains:7"])
+        table = r_tables(build_tree(bby.facts, chain, db.schema))
         # the full triple keeps {f6,f8} or {f7,f8}: one deletion
-        assert tables[bby].counts[3] == (0, 1, 0, 0)
+        assert table.counts[3] == (0, 1, 0, 0)
 
     def test_mini_pair_block(self, mini):
         db, fds = mini
@@ -193,7 +195,8 @@ class TestRTables:
         for external in (None, db.get("Trains:8")):
             base = [f for f in db.facts if external is None or f.id != external.id]
             tree = build_tree(base, chain, db.schema)
-            for vertex, table in r_tables_by_vertex(tree, external).items():
+            for vertex in tree.vertices():
+                table = r_tables(build_tree(vertex.facts, chain, db.schema), external)
                 for j in range(vertex.size + 1):
                     assert sum(table.counts[j]) == comb(vertex.size, j)
 
@@ -218,6 +221,55 @@ class TestMcTables:
         assert mc_tables(tree).expectation(9) == 5
 
 
+class TestExternalFact:
+    """With-fact tables for a fact that conflicts with, matches or misses the tree."""
+
+    BUILDERS = (drastic_tables, mc_tables, r_tables)
+
+    def test_conflict_with_every_subtree_fact(self, trains):
+        db, fds = trains
+        chain = _chain(fds, "Trains")
+        f9 = db.get("Trains:8")
+        nyp = [db.get("Trains:0"), db.get("Trains:1")]
+        tree = build_tree(nyp, chain, db.schema)
+        assert drastic_tables(tree, f9).counts == (0, 2, 1)
+        # the two NYP facts agree with each other, so S + f9 has the
+        # repairs S and {f9}, and costs 1 for every non-empty S
+        assert mc_tables(tree, f9).counts == (1, 4, 2)
+        assert r_tables(tree, f9).counts == ((1,), (0, 2), (0, 1, 0))
+
+    def test_neither_leaves_tables_unchanged(self, trains):
+        db, fds = trains
+        chain = _chain(fds, "Trains")
+        other = Fact("Trains", ("99", "NYP", "BBY", "1030", "315"), 99)
+        base = build_tree([f for f in db.facts if f.id != "Trains:8"], chain, db.schema)
+        nyp = build_tree([db.get("Trains:0"), db.get("Trains:1")], chain, db.schema)
+        for tree in (base, nyp):
+            for builder in self.BUILDERS:
+                assert builder(tree, other) == builder(tree)
+
+    def test_match_and_clash_on_leaf(self, mini):
+        db, fds = mini
+        chain = _chain(fds, "R")
+        tree = build_tree([db.facts[0]], chain, db.schema)  # ("a", "1")
+        assert drastic_tables(tree, Fact("R", ("a", "1"), 77)).counts == (0, 0)
+        assert drastic_tables(tree, Fact("R", ("a", "9"), 78)).counts == (0, 1)
+
+    def test_fact_already_in_tree_rejected(self, trains):
+        db, fds = trains
+        tree = build_tree(db.facts, _chain(fds, "Trains"), db.schema)
+        for builder in self.BUILDERS:
+            with pytest.raises(InputError, match="already"):
+                builder(tree, db.get("Trains:0"))
+
+    def test_fact_of_another_relation_rejected(self, mini):
+        db, fds = mini
+        tree = build_tree(db.facts, _chain(fds, "R"), db.schema)
+        for builder in self.BUILDERS:
+            with pytest.raises(InputError):
+                builder(tree, Fact("S", ("a", "1"), 0))
+
+
 class TestTreeShapley:
     def test_mini_values(self, mini):
         db, fds = mini
@@ -233,6 +285,43 @@ class TestTreeShapley:
         assert sum(shapley_r(db, fds, f) for f in db.facts) == 6
         assert sum(shapley_drastic(db, fds, f) for f in db.facts) == 1
         assert sum(shapley_mc(db, fds, f) for f in db.facts) == 4
+
+    def test_efficiency_at_scale(self):
+        """Values sum to I(D) - I(empty) on two lhs-chain relations of many
+        small blocks plus a relation holding one 32-fact conflict component
+        with 512 repairs."""
+        rng = random.Random(0)
+        schema = Schema.from_dict(
+            {"R": ["A", "B", "C", "D"], "S": ["X", "Y", "Z"], "T": ["A", "B", "C", "D"]}
+        )
+        fds = FDSet(
+            schema,
+            (
+                FD("R", frozenset({"A"}), frozenset({"B"})),
+                FD("R", frozenset({"A", "C"}), frozenset({"D"})),
+                FD("S", frozenset({"X"}), frozenset({"Y"})),
+                FD("T", frozenset({"A"}), frozenset({"B"})),
+                FD("T", frozenset({"A", "C"}), frozenset({"D"})),
+            ),
+        )
+        db = Database.build(
+            schema,
+            {
+                "R": _distinct_rows(rng, 50, [("a", 5), ("b", 3), ("c", 3), ("d", 4)]),
+                "S": _distinct_rows(rng, 25, [("x", 4), ("y", 3), ("z", 10)]),
+                "T": [
+                    ("a", f"b{b}", f"c{c}", f"d{d}")
+                    for b in range(2)
+                    for c in range(8)
+                    for d in range(2)
+                ],
+            },
+        )
+        engine = CoalitionEvaluator(db, fds)
+        for kind in (MeasureKind.DRASTIC, MeasureKind.MC, MeasureKind.R):
+            total = sum(shapley_exact(db, fds, f, kind) for f in db.facts)
+            assert total == measure(kind, db, fds) - engine.value(kind, 0)
+            assert total > 0
 
     def test_results_are_exact_rationals(self, trains):
         db, fds = trains
