@@ -27,7 +27,6 @@ from .exact import (
     multi_relation_combine,
     r_tables,
     shapley_drastic,
-    shapley_eq1_combine,
     shapley_exact,
     shapley_mc,
     shapley_mi,

@@ -209,6 +209,8 @@ def _cmd_shapley(args, out):
 
 
 def _cmd_rank(args, out):
+    if args.top < 1:
+        raise InputError(f"--top must be at least 1, got {args.top}")
     manifest = load_manifest(args.manifest)
     db, fds = load_instance(manifest)
     kind = MeasureKind(args.measure)

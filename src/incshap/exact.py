@@ -15,21 +15,24 @@ other relations never conflict with it, so they are null players):
   Sh_P(f) = deg(f)/(deg(f)+1) + sum over g in N(f) of 1/(deg(g)(deg(g)+1)).
 
 Only the drastic, repair-cost, and repair-count measures use per-size
-expectations: with uniform random size-m subsets D' of D minus f,
+sums.  With gain[m] the measure summed over the size-m subsets S of D minus
+f as I(S + f) - I(S), an integer, and n = |D| (for repair cost, D is f's
+relation: the cost adds over relations and f is null in the others),
 
-    value(f) = (1/|D|) * sum over m of E[I(D' + f)] - E[I(D')].
+    value(f) = sum over m of gain[m] * m! * (n-1-m)! / n!,
 
-Those expectations are computed bottom-up over the block/subblock tree of
-a set of facts, as integer tables per subset size:
+built as one Fraction at the end.  The sums come from integer tables per
+subset size, computed bottom-up over the block/subblock tree of a set of
+facts:
 
 * drastic: count of size-j subsets that are consistent.  A block's subset
   is consistent iff it sits inside one subblock child (facts of different
   subblocks pairwise violate the block's FD); a subblock's children never
   conflict, so their counts convolve.
-* repair cost: count of size-j subsets whose minimum deletion cost is t.
-  Inside a block the best child part is kept and the rest deleted, so the
-  cost of a combined subset is min(w1 + j2, w2 + j1); across a subblock's
-  children costs add.
+* repair cost: count of size-j subsets whose cardinality repairs keep k
+  facts.  Across a subblock's children kept sizes add; inside a block the
+  best child part is kept and the rest deleted, so kept is the max over
+  the children.  The cost is the size minus kept.
 * repair count: sum of repair counts over size-j subsets.  Inside a block
   every repair lives in a single non-empty child part, so child sums add
   against free choices elsewhere, with the empty subset contributing its
@@ -51,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import comb
+from math import comb, factorial
 from typing import Sequence
 
 from .block_tree import BlockTree, Vertex, VertexKind, build_tree
@@ -59,23 +62,6 @@ from .errors import InputError, IntractableExactError
 from .fd_analysis import TractabilityKind, classify_relation
 from .measures import MeasureKind
 from .relational import Database, Fact, FDSet, build_conflict_graph
-
-
-# ---------------------------------------------------------------------------
-# Generic combinators
-
-
-def shapley_eq1_combine(
-    per_m_with: Sequence[Fraction], per_m_without: Sequence[Fraction], n: int
-) -> Fraction:
-    """Average of per-size expectation gaps: (1/n) * sum(with[m] - without[m])."""
-    if len(per_m_with) != n or len(per_m_without) != n:
-        raise InputError(
-            f"expected {n} per-size expectations, got "
-            f"{len(per_m_with)} and {len(per_m_without)}"
-        )
-    total = sum((w - wo for w, wo in zip(per_m_with, per_m_without)), Fraction(0))
-    return total / n
 
 
 def _require_member(db: Database, fact: Fact) -> None:
@@ -116,33 +102,48 @@ def shapley_p(db: Database, fds: FDSet, fact: Fact) -> Fraction:
 
 @dataclass(frozen=True)
 class SizeIndexedTable:
-    """Per-subset-size values over one tree's facts (one relation's base set).
+    """Per-subset-size counts over one tree's facts (one relation's base set).
 
-    variant "violating": counts[j] = number of size-j subsets violating the
-    FDs.
-    variant "repair_sum": counts[j] = summed repair count over size-j
-    subsets, i.e. the expectation numerator over C(size, j).
-    variant "cost": counts[j][t] = number of size-j subsets whose
-    cardinality-repair cost is t.
+    The measure fixes what counts[j] holds:
+    drastic: the number of size-j subsets violating the FDs;
+    repair count: the repair count summed over size-j subsets;
+    repair cost: a row whose entry t is the number of size-j subsets with
+    cardinality-repair cost t.
 
     A with-fact table counts every size-j subset S of the base set as
     S + f for the external fact f.
     """
 
     size: int
-    variant: str
+    kind: MeasureKind
     counts: tuple
 
     def expectation(self, j: int) -> Fraction:
-        total = comb(self.size, j)
-        if self.variant in ("violating", "repair_sum"):
-            return Fraction(self.counts[j], total)
-        if self.variant == "cost":
-            return Fraction(sum(t * c for t, c in enumerate(self.counts[j])), total)
-        raise ValueError(f"unknown table variant {self.variant!r}")
+        return self.expectations()[j]
 
     def expectations(self) -> list[Fraction]:
-        return [self.expectation(j) for j in range(self.size + 1)]
+        sums = _subset_sums(self.kind, [self])
+        return [Fraction(s, comb(self.size, j)) for j, s in enumerate(sums)]
+
+
+def _subset_sums(kind: MeasureKind, tables: Sequence[SizeIndexedTable]) -> list[int]:
+    """The measure summed over the size-m subsets of the tables' union, per m.
+
+    Facts of different relations never conflict, so consistent-subset
+    counts (drastic) and summed repair counts (repair count) convolve over
+    relations.  Repair cost takes the table of a single relation.
+    """
+    if kind is MeasureKind.R:
+        (table,) = tables
+        return [sum(t * c for t, c in enumerate(row)) for row in table.counts]
+    flip = _complement if kind is MeasureKind.DRASTIC else list
+    return flip(reduce(_convolve, (flip(t.counts) for t in tables), [1]))
+
+
+def _complement(counts: Sequence[int]) -> list[int]:
+    """Per-size counts of the subsets not counted (violating <-> consistent)."""
+    n = len(counts) - 1
+    return [comb(n, j) - c for j, c in enumerate(counts)]
 
 
 def _convolve(a: list[int], b: list[int]) -> list[int]:
@@ -201,61 +202,46 @@ def _repair_sum_block(n: int, children: list[list[int]]) -> list[int]:
     return table
 
 
-# -- repair cost: per-(size, cost) subset counts
+# -- repair cost: per-(size, kept) subset counts, kept = size - cost
 
 
-def _cost_leaf(n: int) -> list[list[int]]:
-    return [[comb(n, j)] + [0] * j for j in range(n + 1)]
+def _kept_leaf(n: int) -> list[list[int]]:
+    """A leaf's facts never conflict, so every subset keeps all of itself."""
+    return [[0] * j + [comb(n, j)] for j in range(n + 1)]
 
 
-def _cost_convolve(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+def _convolve_rows(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Join two fact sets that never conflict: sizes add and kept sizes add."""
     na, nb = len(a) - 1, len(b) - 1
     out = [[0] * (j + 1) for j in range(na + nb + 1)]
     for j1 in range(na + 1):
-        for t1 in range(j1 + 1):
-            x = a[j1][t1]
+        for k1 in range(j1 + 1):
+            x = a[j1][k1]
             if not x:
                 continue
             for j2 in range(nb + 1):
-                for t2 in range(j2 + 1):
-                    y = b[j2][t2]
+                for k2 in range(j2 + 1):
+                    y = b[j2][k2]
                     if y:
-                        out[j1 + j2][t1 + t2] += x * y
+                        out[j1 + j2][k1 + k2] += x * y
     return out
 
 
-def _cost_block_merge(acc: list[list[int]], child: list[list[int]]) -> list[list[int]]:
-    """Merge one more subblock child into a block's accumulated cost table.
+def _kept_block(n: int, children: list[list[list[int]]]) -> list[list[int]]:
+    """A block subset keeps its best subblock part: kept is the max over children.
 
-    A combined subset keeps the cheaper side: cost = min(w1 + j2, w2 + j1)
-    with (j1, w1) the child part's size and cost and (j2, w2) the
-    accumulated side's.  For a fixed total t the winning side's cost is
-    pinned (w1 = t - j2 or w2 = t - j1) and the losing side sums over its
-    compatible range, strictly above the threshold on one side so ties are
-    counted exactly once.
+    So a block subset keeps at most k facts iff every child part does, and
+    for each k the counts of "kept <= k" convolve over the children.
     """
-    na, nc = len(acc) - 1, len(child) - 1
-    n = na + nc
-    child_suffix = [[sum(child[j][w:]) for w in range(j + 2)] for j in range(nc + 1)]
-    acc_suffix = [[sum(acc[j][w:]) for w in range(j + 2)] for j in range(na + 1)]
-    out = [[0] * (j + 1) for j in range(n + 1)]
-    for j in range(n + 1):
-        for t in range(j + 1):
-            total = 0
-            for j1 in range(max(0, j - na), min(j, nc) + 1):
-                j2 = j - j1
-                w1 = t - j2  # child side wins (ties included)
-                if 0 <= w1 <= j1:
-                    lo = max(0, t - j1)
-                    if lo <= j2:
-                        total += child[j1][w1] * acc_suffix[j2][lo]
-                w2 = t - j1  # accumulated side wins strictly
-                if 0 <= w2 <= j2:
-                    lo = max(0, t - j2 + 1)
-                    if lo <= j1:
-                        total += child_suffix[j1][lo] * acc[j2][w2]
-            out[j][t] = total
-    return out
+    table = [[0] * (j + 1) for j in range(n + 1)]
+    below = [0] * (n + 1)
+    for k in range(n + 1):
+        parts = ([sum(row[: k + 1]) for row in child] for child in children)
+        at_most = reduce(_convolve, parts)
+        for j in range(k, n + 1):
+            table[j][k] = at_most[j] - below[j]
+        below = at_most
+    return table
 
 
 # -- one bottom-up pass per tree, and the with-fact identity
@@ -267,11 +253,7 @@ def _cost_block_merge(acc: list[list[int]], child: list[list[int]]) -> list[list
 _DPS = {
     MeasureKind.DRASTIC: (_binomials, _consistent_block, _convolve),
     MeasureKind.MC: (_binomials, _repair_sum_block, _convolve),
-    MeasureKind.R: (
-        _cost_leaf,
-        lambda n, children: reduce(_cost_block_merge, children),
-        _cost_convolve,
-    ),
+    MeasureKind.R: (_kept_leaf, _kept_block, _convolve_rows),
 }
 
 
@@ -289,10 +271,10 @@ def _root_table(tree: BlockTree, kind: MeasureKind) -> SizeIndexedTable:
     n = tree.root.size
     counts = fold(tree.root)
     if kind is MeasureKind.DRASTIC:
-        return SizeIndexedTable(n, "violating", tuple(comb(n, j) - c for j, c in enumerate(counts)))
-    if kind is MeasureKind.MC:
-        return SizeIndexedTable(n, "repair_sum", tuple(counts))
-    return SizeIndexedTable(n, "cost", tuple(tuple(row) for row in counts))
+        counts = _complement(counts)
+    elif kind is MeasureKind.R:
+        counts = [tuple(reversed(row)) for row in counts]  # cost = size - kept
+    return SizeIndexedTable(n, kind, tuple(counts))
 
 
 def _containing_fact(full: SizeIndexedTable, without: SizeIndexedTable) -> SizeIndexedTable:
@@ -303,7 +285,7 @@ def _containing_fact(full: SizeIndexedTable, without: SizeIndexedTable) -> SizeI
     set has size |base| + 1).  Cost rows subtract entry by entry; S + f
     never costs j + 1, so the row's last entry is 0 and is dropped.
     """
-    if full.variant == "cost":
+    if full.kind is MeasureKind.R:
         later = without.counts[1:] + ((0,) * (full.size + 1),)
         counts = tuple(
             tuple(a - b for a, b in zip(row, other))[:-1]
@@ -312,7 +294,7 @@ def _containing_fact(full: SizeIndexedTable, without: SizeIndexedTable) -> SizeI
     else:
         later = without.counts[1:] + (0,)
         counts = tuple(a - b for a, b in zip(full.counts[1:], later))
-    return SizeIndexedTable(without.size, full.variant, counts)
+    return SizeIndexedTable(without.size, full.kind, counts)
 
 
 def _tables(tree: BlockTree, kind: MeasureKind, fact: Fact | None) -> SizeIndexedTable:
@@ -341,7 +323,7 @@ def r_tables(tree: BlockTree, fact: Fact | None = None) -> SizeIndexedTable:
 
 
 # ---------------------------------------------------------------------------
-# Per-relation assembly and multi-relation combination
+# Multi-relation combination and the exact assembly
 
 
 def _chain_for(fds: FDSet, relation: str) -> tuple:
@@ -355,75 +337,59 @@ def _chain_for(fds: FDSet, relation: str) -> tuple:
     return cls.chain
 
 
-def _relation_tables(
-    db: Database, fds: FDSet, relation: str, kind: MeasureKind, fact: Fact | None
-) -> tuple[SizeIndexedTable, SizeIndexedTable]:
-    """(without, with) root tables over one relation's base set.
-
-    The base set excludes `fact` when it belongs to this relation; the
-    with-table then comes from the tables over the relation with and
-    without the fact, otherwise both are the same object.
-    """
-    chain = _chain_for(fds, relation)
-    facts = db.facts_of(relation)
-    full = _root_table(build_tree(facts, chain, db.schema), kind)
-    if fact is None:
-        return full, full
-    base = [g for g in facts if g.id != fact.id]
-    without = _root_table(build_tree(base, chain, db.schema), kind)
-    return without, _containing_fact(full, without)
-
-
 def multi_relation_combine(
     kind: MeasureKind,
-    per_relation_tables: Sequence[SizeIndexedTable],
+    tables: Sequence[SizeIndexedTable],
     sizes: Sequence[int] | None = None,
 ) -> list[Fraction]:
     """Combine per-relation root tables into whole-database expectations.
 
     Returns E[I(random size-m subset)] for every m over the union of the
-    base sets.  Facts of different relations never conflict, so
-    consistent-subset counts (drastic) and summed repair counts (repair
-    count) convolve; a single relation passes through unchanged.  The
-    pair-count, problematic-fact, and repair-cost measures are additive
-    over relations with null players outside the fact's relation, so they
-    are computed on one relation and never combined here.
+    base sets, for the drastic and repair-count measures.  The pair-count,
+    problematic-fact, and repair-cost measures are additive over relations
+    with null players outside the fact's relation, so they are computed on
+    one relation and never combined here.
     """
-    tables = list(per_relation_tables)
+    tables = list(tables)
     if sizes is not None and list(sizes) != [t.size for t in tables]:
         raise InputError("declared sizes do not match the tables")
-    if kind is MeasureKind.DRASTIC:
-        counts = [
-            [comb(t.size, j) - t.counts[j] for j in range(t.size + 1)] for t in tables
-        ]
-    elif kind is MeasureKind.MC:
-        counts = [list(t.counts) for t in tables]
-    else:
+    if kind not in (MeasureKind.DRASTIC, MeasureKind.MC):
         raise InputError(
             f"measure {kind.value!r} is additive over relations; "
             "no table combination applies"
         )
-    total = [1]
-    for c in counts:
-        total = _convolve(total, c)
-    n = sum(t.size for t in tables)
-    if kind is MeasureKind.DRASTIC:
-        return [1 - Fraction(total[m], comb(n, m)) for m in range(n + 1)]
-    return [Fraction(total[m], comb(n, m)) for m in range(n + 1)]
+    sums = _subset_sums(kind, tables)
+    n = len(sums) - 1
+    return [Fraction(s, comb(n, m)) for m, s in enumerate(sums)]
 
 
 def _tree_based_shapley(
     db: Database, fds: FDSet, fact: Fact, kind: MeasureKind
 ) -> Fraction:
-    relations = list(db.schema.relation_names)
-    pairs = [
-        _relation_tables(db, fds, r, kind, fact if r == fact.relation else None)
-        for r in relations
-    ]
-    without = multi_relation_combine(kind, [p[0] for p in pairs])
-    with_f = multi_relation_combine(kind, [p[1] for p in pairs])
-    n = len(db)
-    return shapley_eq1_combine(with_f[:n], without[:n], n)
+    """Sum of gain[m] * m! * (n-1-m)! over n!, from two DP passes on f's relation.
+
+    Repair cost stays on f's relation; the drastic and repair-count
+    measures take the full table of every other relation as well.
+    """
+    relations = [fact.relation] if kind is MeasureKind.R else db.schema.relation_names
+    others, pair = [], None
+    for relation in relations:
+        chain = _chain_for(fds, relation)
+        facts = db.facts_of(relation)
+        full = _root_table(build_tree(facts, chain, db.schema), kind)
+        if relation != fact.relation:
+            others.append(full)
+            continue
+        base = [g for g in facts if g.id != fact.id]
+        without = _root_table(build_tree(base, chain, db.schema), kind)
+        pair = (without, _containing_fact(full, without))
+    without_f, with_f = (_subset_sums(kind, others + [t]) for t in pair)
+    n = len(with_f)
+    total = sum(
+        (w - wo) * factorial(m) * factorial(n - 1 - m)
+        for m, (w, wo) in enumerate(zip(with_f, without_f))
+    )
+    return Fraction(total, factorial(n))
 
 
 def shapley_drastic(db: Database, fds: FDSet, fact: Fact) -> Fraction:
@@ -447,11 +413,7 @@ def shapley_r(db: Database, fds: FDSet, fact: Fact) -> Fraction:
     an lhs chain up to equivalence).
     """
     _require_member(db, fact)
-    without_t, with_t = _relation_tables(db, fds, fact.relation, MeasureKind.R, fact)
-    n = len(db.facts_of(fact.relation))
-    without = [without_t.expectation(m) for m in range(n)]
-    with_f = [with_t.expectation(m) for m in range(n)]
-    return shapley_eq1_combine(with_f, without, n)
+    return _tree_based_shapley(db, fds, fact, MeasureKind.R)
 
 
 def shapley_exact(db: Database, fds: FDSet, fact: Fact, kind: MeasureKind) -> Fraction:

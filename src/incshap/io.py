@@ -40,9 +40,19 @@ def load_manifest(path: str | Path) -> Manifest:
         raise LoadError(f"manifest not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise LoadError(f"manifest {path} is not valid JSON: {exc}") from None
-    for key in ("schema", "data", "fds"):
+    if not isinstance(raw, dict):
+        raise LoadError(f"manifest {path} must hold a JSON object")
+    shapes = (("schema", dict, "an object"), ("data", dict, "an object"), ("fds", str, "a string"))
+    for key, kind, expected in shapes:
         if key not in raw:
             raise LoadError(f"manifest {path} is missing the {key!r} key")
+        if not isinstance(raw[key], kind):
+            raise LoadError(f"manifest {path}: {key!r} must be {expected}")
+    for relation, attrs in raw["schema"].items():
+        if not isinstance(attrs, list) or not all(isinstance(a, str) for a in attrs):
+            raise LoadError(
+                f"manifest {path}: the schema of {relation!r} must be a list of strings"
+            )
     schema = Schema.from_dict(raw["schema"])
     base = path.parent
     data_paths = {}
@@ -50,6 +60,10 @@ def load_manifest(path: str | Path) -> Manifest:
         if not schema.has_relation(relation):
             raise LoadError(
                 f"manifest data names unknown relation {relation!r}"
+            )
+        if not isinstance(rel_path, str):
+            raise LoadError(
+                f"manifest {path}: the data path of {relation!r} must be a string"
             )
         data_paths[relation] = base / rel_path
     return Manifest(schema, data_paths, base / raw["fds"])

@@ -14,7 +14,7 @@ import enum
 import itertools
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError, SchemaError
+from .errors import BudgetExceededError, InputError, SchemaError
 from .relational import Database, FDSet, build_conflict_graph
 
 
@@ -37,6 +37,8 @@ class CoalitionEvaluator:
     def __init__(self, db: Database, fds: FDSet, budget: int | None = None):
         if db.schema != fds.schema:
             raise SchemaError("database and FD set are over different schemas")
+        if budget is not None and budget < 0:
+            raise InputError(f"the node budget must be non-negative, got {budget}")
         self.db = db
         self.fds = fds
         self.budget = budget

@@ -207,3 +207,28 @@ def test_input_errors_exit_1(tmp_path):
                                "fds": "bad.fds"}))
     code, _, err = run(["--manifest", str(bad), "classify"])
     assert code == 1 and "line 1" in err
+
+
+def test_rank_top_must_be_positive():
+    for top in ("0", "-1"):
+        code, out, err = run(["--manifest", TRAINS, "rank", "--measure", "mi", "--top", top])
+        assert code == 1 and out == ""
+        assert "--top must be at least 1" in err
+
+
+def test_negative_budget_exits_1():
+    code, out, err = run(
+        ["--manifest", TRAINS, "shapley", "--measure", "mc", "--all", "--budget", "-5"]
+    )
+    assert code == 1 and out == ""
+    assert "non-negative" in err
+    code, _, err = run(["--manifest", TRAINS, "measure", "--measure", "r", "--budget", "-1"])
+    assert code == 1 and "non-negative" in err
+
+
+def test_malformed_manifest_exits_1(tmp_path):
+    bad = tmp_path / "m.json"
+    bad.write_text(json.dumps({"schema": ["R"], "data": {}, "fds": "deps.fds"}))
+    code, out, err = run(["--manifest", str(bad), "classify"])
+    assert code == 1 and out == ""
+    assert "'schema' must be an object" in err

@@ -1,5 +1,6 @@
 """Exact Shapley computation: closed forms, chain DPs, and combination."""
 
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -25,7 +26,6 @@ from incshap import (
     r_tables,
     shapley_bruteforce_subsets,
     shapley_drastic,
-    shapley_eq1_combine,
     shapley_exact,
     shapley_mc,
     shapley_mi,
@@ -55,21 +55,6 @@ def _distinct_rows(rng, n, domains):
     while len(rows) < n:
         rows.setdefault(tuple(f"{p}{rng.randrange(k)}" for p, k in domains), None)
     return list(rows)
-
-
-class TestCombine:
-    def test_null_lists(self):
-        vals = [Fraction(1, 3)] * 4
-        assert shapley_eq1_combine(vals, vals, 4) == 0
-
-    def test_mini_drastic_marginals(self, mini):
-        with_f = [Fraction(0), half, Fraction(1)]
-        without = [Fraction(0)] * 3
-        assert shapley_eq1_combine(with_f, without, 3) == half
-
-    def test_length_mismatch(self):
-        with pytest.raises(InputError):
-            shapley_eq1_combine([Fraction(0)], [Fraction(0), Fraction(0)], 2)
 
 
 class TestClosedForms:
@@ -270,6 +255,43 @@ class TestExternalFact:
                 builder(tree, Fact("S", ("a", "1"), 0))
 
 
+class TestTablesByEnumeration:
+    @staticmethod
+    def _enumerated(engine, mask, extra=0):
+        """Per-size d, mc and r tables of S | extra over the subsets S of mask."""
+        bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        d, mc = [0] * (len(bits) + 1), [0] * (len(bits) + 1)
+        r = [[0] * (j + 1) for j in range(len(bits) + 1)]
+        for j in range(len(bits) + 1):
+            for chosen in itertools.combinations(bits, j):
+                subset = sum(1 << i for i in chosen) | extra
+                d[j] += engine.drastic(subset)
+                mc[j] += engine.repair_count(subset)
+                r[j][engine.repair_cost(subset)] += 1
+        return tuple(d), tuple(mc), tuple(tuple(row) for row in r)
+
+    def test_root_tables_match_subset_enumeration(self):
+        """Every entry of the full, without-f and with-f tables equals brute force."""
+        rng = random.Random(2024)
+        for _ in range(40):
+            db, fds = random_instance(rng, chain=True)
+            chain = _chain(fds, "R")
+            engine = CoalitionEvaluator(db, fds)
+            cases = [(db.facts, None, engine.full_mask, 0)]
+            for f in db.facts:
+                bit = 1 << engine.bit_of[f.id]
+                base = [g for g in db.facts if g.id != f.id]
+                cases.append((base, None, engine.full_mask & ~bit, 0))
+                cases.append((base, f, engine.full_mask & ~bit, bit))
+            for facts, external, mask, extra in cases:
+                tree = build_tree(facts, chain, db.schema)
+                tables = tuple(
+                    builder(tree, external).counts
+                    for builder in (drastic_tables, mc_tables, r_tables)
+                )
+                assert tables == self._enumerated(engine, mask, extra)
+
+
 class TestTreeShapley:
     def test_mini_values(self, mini):
         db, fds = mini
@@ -444,6 +466,13 @@ class TestMultiRelation:
         tree = build_tree(db.facts, chain, db.schema)
         with pytest.raises(InputError):
             multi_relation_combine(MeasureKind.MI, [drastic_tables(tree)])
+
+    def test_repair_cost_and_p_reject_combination(self, trains):
+        db, fds = trains
+        tree = build_tree(db.facts, _chain(fds, "Trains"), db.schema)
+        for kind in (MeasureKind.P, MeasureKind.R):
+            with pytest.raises(InputError, match="additive"):
+                multi_relation_combine(kind, [r_tables(tree)])
 
     def test_random_two_relation_instances(self):
         rng = random.Random(7007)

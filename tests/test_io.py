@@ -130,6 +130,28 @@ class TestManifestAndCsv:
         with pytest.raises(LoadError, match="missing"):
             load_manifest(bad)
 
+    @pytest.mark.parametrize(
+        "manifest, message",
+        [
+            (["schema", "data", "fds"], "must hold a JSON object"),
+            ({"schema": ["R"], "data": {}, "fds": "deps.fds"}, "'schema' must be an object"),
+            ({"schema": {"R": ["A"]}, "data": ["r.csv"], "fds": "deps.fds"},
+             "'data' must be an object"),
+            ({"schema": {"R": ["A"]}, "data": {}, "fds": 3}, "'fds' must be a string"),
+            ({"schema": {"R": "AB"}, "data": {}, "fds": "deps.fds"},
+             "schema of 'R' must be a list of strings"),
+            ({"schema": {"R": ["A", 1]}, "data": {}, "fds": "deps.fds"},
+             "schema of 'R' must be a list of strings"),
+            ({"schema": {"R": ["A"]}, "data": {"R": 3}, "fds": "deps.fds"},
+             "data path of 'R' must be a string"),
+        ],
+    )
+    def test_malformed_manifest_names_key(self, tmp_path, manifest, message):
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps(manifest))
+        with pytest.raises(LoadError, match=message):
+            load_manifest(bad)
+
     def test_quoted_values_roundtrip(self, tmp_path):
         path = _write_manifest(
             tmp_path, {"R": ["A", "B"]}, {"R": "r.csv"}, "R: A -> B\n"

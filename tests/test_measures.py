@@ -5,15 +5,19 @@ import random
 import pytest
 
 from incshap import (
+    ApproxParams,
     BudgetExceededError,
+    CoalitionEvaluator,
     Database,
     FD,
     FDSet,
     MeasureKind,
     Schema,
     enumerate_repairs,
+    estimate_shapley,
     measure,
 )
+from incshap.errors import InputError
 
 from conftest import random_arbitrary_fds, random_rows
 
@@ -140,3 +144,14 @@ def test_budget_abort(trains):
         measure(MeasureKind.R, db, fds, budget=1)
     with pytest.raises(BudgetExceededError):
         measure(MeasureKind.MC, db, fds, budget=1)
+
+
+def test_negative_budget_rejected(trains):
+    db, fds = trains
+    with pytest.raises(InputError, match="non-negative"):
+        CoalitionEvaluator(db, fds, budget=-1)
+    with pytest.raises(InputError, match="non-negative"):
+        measure(MeasureKind.MC, db, fds, budget=-5)
+    with pytest.raises(InputError, match="non-negative"):
+        estimate_shapley(db, fds, db.facts[0], MeasureKind.R, ApproxParams(0.1, 0.05), budget=-5)
+    assert CoalitionEvaluator(db, fds, budget=0).budget == 0
