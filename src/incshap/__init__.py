@@ -8,7 +8,15 @@ them, a sampling estimator with explicit error contracts, and a
 brute-force oracle for verification.
 """
 
-from .approx import ApproxParams, Estimate, Guarantee, Mode, estimate_shapley, sample_count
+from .approx import (
+    ApproxParams,
+    Estimate,
+    Guarantee,
+    Mode,
+    estimate_all,
+    estimate_shapley,
+    sample_count,
+)
 from .block_tree import BlockTree, build_tree
 from .errors import (
     BudgetExceededError,

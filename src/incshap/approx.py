@@ -4,8 +4,16 @@ Additive mode draws enough permutations for a two-sided Hoeffding bound at
 the measure's marginal range; multiplicative mode (drastic and repair-cost
 only) tightens epsilon by the gap bound 1/(n*(n-1)) below which nonzero
 values cannot fall.  Sampling is deterministic given the seed: each sample
-uses its own generator keyed by SHA-256(seed:index), so results are
-independent of any parallel scheduling of the samples.
+index uses its own generator keyed by SHA-256(seed:index), so results are
+independent of how sample indices are scheduled.
+
+One permutation per sample index serves every requested fact: the walk
+adds facts in permutation order, carries the value of the current prefix,
+and reads a fact's marginal off two consecutive prefixes, value(prefix + f)
+- value(prefix).  Each prefix is evaluated at most once, from the previous
+one (``CoalitionEvaluator.value_with``), and the walk stops after the last
+requested fact.  A fact's marginals are those of the one-fact estimator, so
+estimating facts together or one at a time gives identical values.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ import enum
 import hashlib
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -124,6 +133,84 @@ def _sample_rng(seed: int, index: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
+def estimate_all(
+    db: Database,
+    fds: FDSet,
+    facts: Sequence[Fact],
+    kind: MeasureKind,
+    params: ApproxParams,
+    engine: CoalitionEvaluator | None = None,
+    budget: int | None = None,
+) -> list[Estimate]:
+    """Mean marginal contribution of each of ``facts`` over seeded permutations.
+
+    Deterministic given (inputs, params, seed).  Each returned value is the
+    exact rational mean of the sampled integer marginals, and equals what
+    ``estimate_shapley`` returns for that fact alone.  A node budget goes
+    either to the engine or to this call, not both.
+    """
+    if engine is not None and budget is not None:
+        raise InputError("give the node budget to the evaluator or to the sampler, not both")
+    for fact in facts:
+        if fact not in db:
+            raise InputError(f"fact {fact.id} is not in the database")
+    n = len(db)
+    samples = sample_count(params, n, kind)
+    guarantee = _guarantee(params, kind, db, fds)
+    if engine is None:
+        engine = CoalitionEvaluator(db, fds, budget=budget)
+    selected = {engine.bit_of[fact.id] for fact in facts}
+    incremental_components = kind in (MeasureKind.R, MeasureKind.MC)
+    order_template = list(range(n))
+    bound = marginal_bound(kind, n)
+    totals = dict.fromkeys(selected, 0)
+    for index in range(samples):
+        rng = _sample_rng(params.seed, index)
+        order = order_template[:]
+        rng.shuffle(order)
+        mask = 0
+        value = None  # value of mask, once the first selected fact is reached
+        comp_of = None
+        pending = len(selected)
+        for i in order:
+            if value is None and i not in selected:
+                mask |= 1 << i
+                continue
+            try:
+                if value is None:
+                    value = engine.value(kind, mask)
+                    if incremental_components:
+                        comp_of = engine.component_map(mask)
+                extended = engine.value_with(kind, mask, value, i, comp_of)
+            except BudgetExceededError as exc:
+                raise BudgetExceededError(
+                    f"measure evaluation aborted on a sampled coalition of size "
+                    f"{mask.bit_count()}: {exc}",
+                    coalition_size=mask.bit_count(),
+                ) from exc
+            if i in selected:
+                marginal = extended - value
+                if bound is not None:
+                    assert 0 <= marginal <= bound, (
+                        f"marginal {marginal} outside [0, {bound}] for {kind.value}"
+                    )
+                totals[i] += marginal
+                pending -= 1
+                if not pending:
+                    break
+            value = extended
+            mask |= 1 << i
+    return [
+        Estimate(
+            value=Fraction(totals[engine.bit_of[fact.id]], samples),
+            samples_used=samples,
+            marginal_range=bound,
+            guarantee=guarantee,
+        )
+        for fact in facts
+    ]
+
+
 def estimate_shapley(
     db: Database,
     fds: FDSet,
@@ -133,48 +220,5 @@ def estimate_shapley(
     engine: CoalitionEvaluator | None = None,
     budget: int | None = None,
 ) -> Estimate:
-    """Mean marginal contribution over seeded random permutations.
-
-    Deterministic given (inputs, params, seed).  The returned value is the
-    exact rational mean of the sampled integer marginals.
-    """
-    if fact not in db:
-        raise InputError(f"fact {fact.id} is not in the database")
-    n = len(db)
-    samples = sample_count(params, n, kind)
-    guarantee = _guarantee(params, kind, db, fds)
-    if engine is None:
-        engine = CoalitionEvaluator(db, fds, budget=budget)
-    f_bit = 1 << engine.bit_of[fact.id]
-    order_template = list(range(n))
-    bound = marginal_bound(kind, n)
-    total = 0
-    for index in range(samples):
-        rng = _sample_rng(params.seed, index)
-        order = order_template[:]
-        rng.shuffle(order)
-        mask = 0
-        for i in order:
-            bit = 1 << i
-            if bit == f_bit:
-                break
-            mask |= bit
-        try:
-            marginal = engine.value(kind, mask | f_bit) - engine.value(kind, mask)
-        except BudgetExceededError as exc:
-            raise BudgetExceededError(
-                f"measure evaluation aborted on a sampled coalition of size "
-                f"{mask.bit_count()}: {exc}",
-                coalition_size=mask.bit_count(),
-            ) from exc
-        if bound is not None:
-            assert 0 <= marginal <= bound, (
-                f"marginal {marginal} outside [0, {bound}] for {kind.value}"
-            )
-        total += marginal
-    return Estimate(
-        value=Fraction(total, samples),
-        samples_used=samples,
-        marginal_range=bound,
-        guarantee=guarantee,
-    )
+    """Mean marginal contribution of one fact; see ``estimate_all``."""
+    return estimate_all(db, fds, [fact], kind, params, engine=engine, budget=budget)[0]

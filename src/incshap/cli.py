@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .approx import ApproxParams, Mode, estimate_shapley, sample_count
+from .approx import ApproxParams, Mode, estimate_all, sample_count
 from .block_tree import build_tree
 from .errors import (
     BudgetExceededError,
@@ -147,10 +147,8 @@ def _compute_values(db, fds, facts, kind, args, out_estimates):
                 (fact.id, shapley_bruteforce_subsets(db, fds, fact, kind, engine=engine))
             )
     else:
-        params = _approx_params(args)
-        engine = CoalitionEvaluator(db, fds, budget=args.budget)
-        for fact in facts:
-            est = estimate_shapley(db, fds, fact, kind, params, engine=engine)
+        estimates = estimate_all(db, fds, facts, kind, _approx_params(args), budget=args.budget)
+        for fact, est in zip(facts, estimates):
             out_estimates[fact.id] = est
             values.append((fact.id, est.value))
     return values

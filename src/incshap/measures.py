@@ -150,44 +150,93 @@ class CoalitionEvaluator:
         """Number of maximal independent sets; 1 for the empty set."""
         result = 1
         for comp in self._components(mask):
-            if comp in self._mis_memo:
-                result *= self._mis_memo[comp]
-                continue
+            result *= self._mis_count(comp)
+        return result
+
+    def _mis_count(self, comp: int) -> int:
+        count = self._mis_memo.get(comp)
+        if count is None:
             count = sum(1 for _ in self._maximal_independent_sets(comp))
             self._mis_memo[comp] = count
-            result *= count
-        return result
+        return count
+
+    def component_map(self, mask: int) -> list[int]:
+        """Entry j is the component of j in the subgraph induced by mask, for j in mask."""
+        comp_of = [0] * len(self.facts)
+        for comp in self._components(mask):
+            for j in self._bits(comp):
+                comp_of[j] = comp
+        return comp_of
+
+    def value_with(
+        self, kind: MeasureKind, mask: int, value: int, i: int, comp_of: list[int] | None = None
+    ) -> int:
+        """Value of ``mask | 1 << i``, given ``value``, the value of ``mask`` (i not in mask).
+
+        For r and mc, ``comp_of`` must be ``component_map(mask)`` or a map
+        kept up to date by earlier calls; it is updated in place to the map
+        of ``mask | 1 << i``.  Only the components touching i are searched,
+        with the same memos and per-component node budget as ``value``.
+        """
+        touching = self.adj[i] & mask
+        if kind is MeasureKind.DRASTIC:
+            return 1 if value or touching else 0
+        if kind is MeasureKind.MI:
+            return value + touching.bit_count()
+        if kind is MeasureKind.P:
+            newly = sum(1 for h in self._bits(touching) if not self.adj[h] & mask)
+            return value + (1 if touching else 0) + newly
+        if kind is not MeasureKind.R and kind is not MeasureKind.MC:
+            raise ValueError(f"unknown measure kind {kind!r}")
+        merged = 1 << i
+        old = []
+        rest = touching
+        while rest:
+            comp = comp_of[(rest & -rest).bit_length() - 1]
+            old.append(comp)
+            merged |= comp
+            rest &= ~comp
+        for j in self._bits(merged):
+            comp_of[j] = merged
+        if not old:
+            return value
+        if kind is MeasureKind.R:
+            return value - sum(self._vc(comp) for comp in old) + self._vc(merged)
+        for comp in old:
+            value //= self._mis_count(comp)
+        return value * self._mis_count(merged)
 
     def _maximal_independent_sets(self, mask: int):
         """Pivoting enumeration (clique search on the implicit complement)."""
-        universe = mask
-        nodes = [0]
+        return self._extend_mis(mask, 0, mask, 0, [0])
 
-        def nonadj(i: int) -> int:
-            return universe & ~self.adj[i] & ~(1 << i)
-
-        def extend(current: int, candidates: int, excluded: int):
-            nodes[0] += 1
-            if self.budget is not None and nodes[0] > self.budget:
-                raise BudgetExceededError(
-                    f"repair enumeration exceeded the node budget of {self.budget}"
-                )
-            if not candidates and not excluded:
-                yield current
-                return
-            pivot = -1
-            best = -1
-            for i in self._bits(candidates | excluded):
-                gain = (candidates & nonadj(i)).bit_count()
-                if gain > best:
-                    pivot, best = i, gain
-            for i in self._bits(candidates & ~nonadj(pivot)):
-                bit = 1 << i
-                yield from extend(current | bit, candidates & nonadj(i), excluded & nonadj(i))
-                candidates &= ~bit
-                excluded |= bit
-
-        yield from extend(0, mask, 0)
+    def _extend_mis(self, universe: int, current: int, candidates: int, excluded: int, nodes: list):
+        # A method rather than a nested generator: a closure that refers to
+        # itself forms a reference cycle that keeps the evaluator and its
+        # memos alive until the cyclic garbage collector runs.
+        nodes[0] += 1
+        if self.budget is not None and nodes[0] > self.budget:
+            raise BudgetExceededError(
+                f"repair enumeration exceeded the node budget of {self.budget}"
+            )
+        if not candidates and not excluded:
+            yield current
+            return
+        adj = self.adj
+        pivot = -1
+        best = -1
+        for i in self._bits(candidates | excluded):
+            gain = (candidates & ~adj[i] & ~(1 << i)).bit_count()
+            if gain > best:
+                pivot, best = i, gain
+        for i in self._bits(candidates & (adj[pivot] | 1 << pivot)):
+            bit = 1 << i
+            nonadj = universe & ~adj[i] & ~bit
+            yield from self._extend_mis(
+                universe, current | bit, candidates & nonadj, excluded & nonadj, nodes
+            )
+            candidates &= ~bit
+            excluded |= bit
 
 
 def measure(kind: MeasureKind, db: Database, fds: FDSet, budget: int | None = None) -> int:

@@ -15,15 +15,23 @@ from incshap import (
     MeasureKind,
     Mode,
     Schema,
+    CoalitionEvaluator,
     UnsupportedModeError,
+    estimate_all,
     estimate_shapley,
     sample_count,
     shapley_drastic,
 )
+import incshap.approx as approx
 from incshap.approx import marginal_bound
 from incshap.errors import InputError
 
-from conftest import random_chain_fds, random_rows
+from conftest import (
+    random_chain_fds,
+    random_instance,
+    random_rows,
+    random_two_relation_instance,
+)
 
 
 class TestSampleCount:
@@ -157,3 +165,102 @@ def test_coverage_on_medium_chain_instance():
         )
         hits += abs(est.value - exact) <= Fraction(1, 10)
     assert hits >= 36
+
+
+def hard_instance(rng: random.Random, n: int):
+    """A HardCRepair relation: A -> C and B -> C over random rows."""
+    schema = Schema.from_dict({"R": ["A", "B", "C"]})
+    fds = FDSet(
+        schema,
+        (
+            FD("R", frozenset({"A"}), frozenset({"C"})),
+            FD("R", frozenset({"B"}), frozenset({"C"})),
+        ),
+    )
+    return Database.build(schema, {"R": random_rows(rng, n)}), fds
+
+
+def referee_instances():
+    rng = random.Random(606)
+    instances = [random_instance(rng, chain=True) for _ in range(4)]
+    instances += [random_two_relation_instance(rng) for _ in range(3)]
+    instances += [hard_instance(rng, n) for n in (6, 9)]
+    return instances
+
+
+class TestSharedWalk:
+    """One permutation walk per sample index gives the per-fact estimates."""
+
+    @pytest.mark.parametrize("kind", list(MeasureKind))
+    def test_estimate_all_equals_per_fact_additive(self, kind):
+        for db, fds in referee_instances():
+            params = ApproxParams(0.3, 0.2, seed=11)
+            facts = list(db.facts)
+            per_fact = [estimate_shapley(db, fds, f, kind, params) for f in facts]
+            assert estimate_all(db, fds, facts, kind, params) == per_fact
+            some = facts[1::2]
+            assert estimate_all(db, fds, some, kind, params) == per_fact[1::2]
+
+    @pytest.mark.parametrize("kind", list(MeasureKind))
+    def test_estimate_all_equals_per_fact_override(self, kind):
+        for db, fds in referee_instances():
+            params = ApproxParams(0.1, 0.05, seed=3, samples_override=9)
+            facts = list(db.facts)
+            per_fact = [estimate_shapley(db, fds, f, kind, params) for f in facts]
+            assert estimate_all(db, fds, facts, kind, params) == per_fact
+
+    @pytest.mark.parametrize("kind", [MeasureKind.DRASTIC, MeasureKind.R])
+    def test_estimate_all_equals_per_fact_multiplicative(self, kind):
+        params = ApproxParams(0.9, 0.9, mode=Mode.MULTIPLICATIVE, seed=5)
+        for db, fds in referee_instances()[::3]:
+            facts = list(db.facts)
+            per_fact = [estimate_shapley(db, fds, f, kind, params) for f in facts]
+            assert estimate_all(db, fds, facts, kind, params) == per_fact
+
+    def test_one_draw_per_sample_index(self, trains, monkeypatch):
+        db, fds = trains
+        draws = []
+        real = approx._sample_rng
+
+        def counting(seed, index):
+            draws.append(index)
+            return real(seed, index)
+
+        monkeypatch.setattr(approx, "_sample_rng", counting)
+        params = ApproxParams(0.1, 0.05, samples_override=7)
+        for kind in MeasureKind:
+            draws.clear()
+            estimate_all(db, fds, list(db.facts), kind, params)
+            assert draws == list(range(7))
+
+    def test_engine_and_budget_together_rejected(self, trains):
+        db, fds = trains
+        engine = CoalitionEvaluator(db, fds)
+        params = ApproxParams(0.3, 0.3)
+        with pytest.raises(InputError, match="budget"):
+            estimate_shapley(db, fds, db.facts[0], MeasureKind.R, params, engine=engine, budget=5)
+        with pytest.raises(InputError, match="budget"):
+            estimate_all(db, fds, list(db.facts), MeasureKind.R, params, engine=engine, budget=5)
+
+
+@pytest.mark.parametrize("kind", list(MeasureKind))
+def test_value_with_matches_value_along_random_orders(kind):
+    rng = random.Random(77)
+    for db, fds in referee_instances():
+        engine = CoalitionEvaluator(db, fds)
+        for _ in range(5):
+            order = list(range(len(db)))
+            rng.shuffle(order)
+            start = rng.randrange(len(order))
+            mask = 0
+            for i in order[:start]:
+                mask |= 1 << i
+            value = engine.value(kind, mask)
+            keeps_map = kind in (MeasureKind.R, MeasureKind.MC)
+            comp_of = engine.component_map(mask) if keeps_map else None
+            for i in order[start:]:
+                value = engine.value_with(kind, mask, value, i, comp_of)
+                mask |= 1 << i
+                assert value == engine.value(kind, mask)
+                if keeps_map:
+                    assert comp_of == engine.component_map(mask)

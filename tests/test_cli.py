@@ -1,11 +1,14 @@
 """End-to-end command-line behavior."""
 
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import incshap
 from incshap.cli import run_command
@@ -232,3 +235,36 @@ def test_malformed_manifest_exits_1(tmp_path):
     code, out, err = run(["--manifest", str(bad), "classify"])
     assert code == 1 and out == ""
     assert "'schema' must be an object" in err
+
+
+def test_approx_budget_refusal_exits_2():
+    code, out, err = run(
+        ["--manifest", TRAINS, "shapley", "--measure", "r", "--all",
+         "--method", "approx", "--budget", "1"]
+    )
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "budget_exceeded"
+    assert "coalition of size" in payload["message"]
+    assert "refused" in err
+
+
+# sha256 of `shapley --all --method approx --seed 7` on Trains, recorded from
+# the per-fact sampler that preceded the shared permutation walk.
+GOLDEN_APPROX_SHA256 = {
+    "d": "e9a532292e94e7c05c3f0dfe8dab4525da04fac6c757cab2404afdd5bfef4b3a",
+    "mi": "625315ab354db3506255bc79346235b55363383a5c74daadf56c0195184937d8",
+    "p": "ac279404611d2c98c25635231d01751244af4aab3fc421875264973c76676bff",
+    "r": "de4e4b78710b162ef15bce8c23bfa443532920e8779311920889f3a7b914c7d4",
+    "mc": "9f1c95466b8d7850b6dc532b6676b200a381491dbe96ef70aec25b400a0df401",
+}
+
+
+@pytest.mark.parametrize("m", sorted(GOLDEN_APPROX_SHA256))
+def test_golden_approx_reports(m):
+    code, out, _ = run(
+        ["--manifest", TRAINS, "shapley", "--measure", m, "--all",
+         "--method", "approx", "--seed", "7"]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_APPROX_SHA256[m]

@@ -1,6 +1,8 @@
 """Measure evaluation and repair enumeration."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -155,3 +157,17 @@ def test_negative_budget_rejected(trains):
     with pytest.raises(InputError, match="non-negative"):
         estimate_shapley(db, fds, db.facts[0], MeasureKind.R, ApproxParams(0.1, 0.05), budget=-5)
     assert CoalitionEvaluator(db, fds, budget=0).budget == 0
+
+
+def test_evaluator_freed_without_cycle_collection(trains):
+    """Repair enumeration leaves no reference cycle through the evaluator."""
+    db, fds = trains
+    gc.disable()
+    try:
+        engine = CoalitionEvaluator(db, fds)
+        assert engine.repair_count(engine.full_mask) > 1
+        ref = weakref.ref(engine)
+        del engine
+        assert ref() is None
+    finally:
+        gc.enable()
