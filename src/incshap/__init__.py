@@ -34,6 +34,7 @@ from .exact import (
     mc_tables,
     multi_relation_combine,
     r_tables,
+    shapley_all,
     shapley_drastic,
     shapley_exact,
     shapley_mc,

@@ -64,15 +64,15 @@ class BlockTree:
 
     def dump(self) -> str:
         lines: list[str] = []
-
-        def walk(v: Vertex, depth: int):
-            ids = ",".join(f.id for f in v.facts)
-            lines.append(f"{'  ' * depth}{v.kind.value}[L{v.level}] {{{ids}}}")
-            for c in v.children:
-                walk(c, depth + 1)
-
-        walk(self.root, 0)
+        _dump(self.root, 0, lines)
         return "\n".join(lines)
+
+
+def _dump(v: Vertex, depth: int, lines: list[str]) -> None:
+    ids = ",".join(f.id for f in v.facts)
+    lines.append(f"{'  ' * depth}{v.kind.value}[L{v.level}] {{{ids}}}")
+    for c in v.children:
+        _dump(c, depth + 1, lines)
 
 
 def _group(facts, schema: Schema, attrs) -> list[tuple[Fact, ...]]:
@@ -93,20 +93,22 @@ def build_tree(facts: Iterable[Fact], chain: tuple[FD, ...], schema: Schema) -> 
     if len(relations) > 1:
         raise InputError("tree facts and chain must share one relation")
     relation = next(iter(relations)) if relations else ""
-
-    def expand(parent: Vertex, level: int):
-        if level > len(chain):
-            return
-        fd = chain[level - 1]
-        for block_facts in _group(parent.facts, schema, fd.lhs):
-            block = Vertex(VertexKind.BLOCK, level, block_facts)
-            parent.children.append(block)
-            for sub_facts in _group(block_facts, schema, fd.rhs):
-                sub = Vertex(VertexKind.SUBBLOCK, level, sub_facts)
-                block.children.append(sub)
-                expand(sub, level + 1)
-
     root = Vertex(VertexKind.ROOT, 0, facts)
     if facts:
-        expand(root, 1)
+        _expand(root, 1, chain, schema)
     return BlockTree(relation, chain, root, schema)
+
+
+def _expand(parent: Vertex, level: int, chain: tuple[FD, ...], schema: Schema) -> None:
+    # A module-level recursion rather than a nested closure: a closure that
+    # refers to itself is a reference cycle left for the cyclic collector.
+    if level > len(chain):
+        return
+    fd = chain[level - 1]
+    for block_facts in _group(parent.facts, schema, fd.lhs):
+        block = Vertex(VertexKind.BLOCK, level, block_facts)
+        parent.children.append(block)
+        for sub_facts in _group(block_facts, schema, fd.rhs):
+            sub = Vertex(VertexKind.SUBBLOCK, level, sub_facts)
+            block.children.append(sub)
+            _expand(sub, level + 1, chain, schema)

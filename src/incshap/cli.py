@@ -25,7 +25,7 @@ from .errors import (
     OracleLimitError,
     UnsupportedModeError,
 )
-from .exact import shapley_exact
+from .exact import shapley_all
 from .fd_analysis import TractabilityKind, classify
 from .io import load_instance, load_manifest
 from .measures import CoalitionEvaluator, MeasureKind, measure
@@ -43,6 +43,17 @@ _REFUSALS = (
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise InputError(message)
+
+
+def _budget(text: str) -> int:
+    """A node budget: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise InputError(f"--budget must be an integer, got {text!r}") from None
+    if value < 0:
+        raise InputError(f"the node budget must be non-negative, got {value}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -68,7 +79,7 @@ def _build_parser() -> _Parser:
 
     p_measure = sub.add_parser("measure", help="exact measure of the database")
     add_measure_arg(p_measure)
-    p_measure.add_argument("--budget", type=int, default=None)
+    p_measure.add_argument("--budget", type=_budget, default=None)
 
     def add_shapley_args(p, select_facts=True):
         add_measure_arg(p)
@@ -86,7 +97,7 @@ def _build_parser() -> _Parser:
         )
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--budget", type=int, default=None)
+        p.add_argument("--budget", type=_budget, default=None)
 
     p_shapley = sub.add_parser("shapley", help="per-fact attribution report")
     add_shapley_args(p_shapley)
@@ -138,8 +149,7 @@ def _compute_values(db, fds, facts, kind, args, out_estimates):
     method = getattr(args, "method", "exact")
     values = []
     if method == "exact":
-        for fact in facts:
-            values.append((fact.id, shapley_exact(db, fds, fact, kind)))
+        values = [(f.id, v) for f, v in zip(facts, shapley_all(db, fds, facts, kind))]
     elif method == "oracle":
         engine = CoalitionEvaluator(db, fds)
         for fact in facts:

@@ -1,10 +1,12 @@
 """Exact Shapley values for the five measures: closed forms and chain DPs.
 
 Everything here is exact rational arithmetic (stdlib fractions); no floats.
+`shapley_all` computes every requested fact in one pass; `shapley_exact`
+is its one-fact case.
 
 The pair-count and problematic-fact measures are direct closed forms in
-conflict degree, read off one adjacency of the fact's relation (facts of
-other relations never conflict with it, so they are null players):
+conflict degree, read off one adjacency per relation (facts of other
+relations never conflict with a fact, so they are null players):
 
 * pair count: the count is a sum over conflict edges of two-player
   unanimity games, each split evenly, so Sh_MI(f) = deg(f)/2.
@@ -14,16 +16,30 @@ other relations never conflict with it, so they are null players):
   and f is g's first partner to arrive, so
   Sh_P(f) = deg(f)/(deg(f)+1) + sum over g in N(f) of 1/(deg(g)(deg(g)+1)).
 
-Only the drastic, repair-cost, and repair-count measures use per-size
-sums.  With gain[m] the measure summed over the size-m subsets S of D minus
-f as I(S + f) - I(S), an integer, and n = |D| (for repair cost, D is f's
-relation: the cost adds over relations and f is null in the others),
+The drastic, repair-cost, and repair-count measures work on units.  In a
+relation whose FDs form an lhs chain every lhs contains the first one, so
+facts in different level-1 blocks (groups on the first lhs) never
+conflict.  A unit is one level-1 block, or a whole relation without FDs;
+each is a union of conflict components.  Every unit is tabulated once, and
+each fact f costs one more DP pass, on its unit B minus f.  With
+gain_B[j] the measure summed over the size-j subsets S of B - f as
+I(S + f) - I(S) within B, an integer:
 
-    value(f) = sum over m of gain[m] * m! * (n-1-m)! / n!,
+* repair cost adds over units and f is a null player in every unit but
+  its own, so f's value is its value in the game on B:
+  value(f) = sum over j of gain_B[j] * j! * (|B|-1-j)! / |B|!.
+* drastic and repair count are products over units (drastic through the
+  consistent indicator), so their per-size sums over the whole database
+  convolve over units, across relations.  With rest_B the convolution of
+  every other unit's consistent-subset counts (drastic) or summed repair
+  counts (repair count), built once per command from prefix and suffix
+  products, and N = |D|, the weights fold once per unit:
+  W_B[j] = sum over i of rest_B[i] * (i+j)! * (N-1-i-j)!, and
+  value(f) = sum over j of W_B[j] * gain_B[j] / N!.
 
-built as one Fraction at the end.  The sums come from integer tables per
-subset size, computed bottom-up over the block/subblock tree of a set of
-facts:
+Each value is built as one Fraction at the end.  The per-size sums come
+from integer tables computed bottom-up over the block/subblock tree of a
+set of facts:
 
 * drastic: count of size-j subsets that are consistent.  A block's subset
   is consistent iff it sits inside one subblock child (facts of different
@@ -42,11 +58,15 @@ Dividing a table entry by C(n, j) recovers the probability or expectation;
 the integer form keeps the convolutions exact and cheap.
 
 Every DP is fact-free: it tabulates one fact set, and the tables "with f"
-follow from two of them.  A size-(j+1) subset of D_r either leaves f out or
+follow from two of them.  A size-(j+1) subset of B either leaves f out or
 is S + f with |S| = j, so with[j] = full[j+1] - without[j+1], where full is
-the table of D_r and without that of D_r - f.  The identity holds entry by
+the table of B and without that of B - f.  The identity holds entry by
 entry for all three tables (for consistent counts too, since
 C(n, j+1) - C(n-1, j+1) = C(n-1, j)).
+
+The same full tables give the whole-database measure (`chain_measure`):
+the database is inconsistent iff some unit is, its repair count is the
+product of the units' and its repair cost the sum of the units'.
 """
 
 from __future__ import annotations
@@ -54,11 +74,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import comb, factorial
+from itertools import accumulate
+from math import comb, factorial, prod
 from typing import Sequence
 
 from .block_tree import BlockTree, Vertex, VertexKind, build_tree
-from .errors import InputError, IntractableExactError
+from .errors import InputError, IntractableExactError, SchemaError
 from .fd_analysis import TractabilityKind, classify_relation
 from .measures import MeasureKind
 from .relational import Database, Fact, FDSet, build_conflict_graph
@@ -73,23 +94,14 @@ def _require_member(db: Database, fact: Fact) -> None:
 # Closed forms: violating-pair count and problematic-fact count
 
 
-def _adjacency(db: Database, fds: FDSet, fact: Fact) -> dict[int, frozenset[int]]:
-    _require_member(db, fact)
-    return build_conflict_graph(db, fds)[fact.relation].adjacency
+def _mi_value(adjacency: dict[int, frozenset[int]], index: int) -> Fraction:
+    """Half the conflict degree."""
+    return Fraction(len(adjacency[index]), 2)
 
 
-def shapley_mi(db: Database, fds: FDSet, fact: Fact) -> Fraction:
-    """Attribution under the violating-pair count: half the conflict degree."""
-    return Fraction(len(_adjacency(db, fds, fact)[fact.index]), 2)
-
-
-def shapley_p(db: Database, fds: FDSet, fact: Fact) -> Fraction:
-    """Attribution under the problematic-fact count (facts in any violation).
-
-    deg(f)/(deg(f)+1) plus 1/(deg(g)(deg(g)+1)) for every conflict partner g.
-    """
-    adjacency = _adjacency(db, fds, fact)
-    partners = adjacency[fact.index]
+def _p_value(adjacency: dict[int, frozenset[int]], index: int) -> Fraction:
+    """deg(f)/(deg(f)+1) plus 1/(deg(g)(deg(g)+1)) for every conflict partner g."""
+    partners = adjacency[index]
     deg = len(partners)
     return Fraction(deg, deg + 1) + sum(
         Fraction(1, len(adjacency[g]) * (len(adjacency[g]) + 1)) for g in partners
@@ -126,6 +138,15 @@ class SizeIndexedTable:
         return [Fraction(s, comb(self.size, j)) for j, s in enumerate(sums)]
 
 
+def _flip(kind: MeasureKind, sums: Sequence[int]) -> Sequence[int]:
+    """Per-size counts that multiply over fact sets that never conflict.
+
+    Consistent-subset counts for drastic (from violating ones), summed
+    repair counts for repair count.
+    """
+    return _complement(sums) if kind is MeasureKind.DRASTIC else sums
+
+
 def _subset_sums(kind: MeasureKind, tables: Sequence[SizeIndexedTable]) -> list[int]:
     """The measure summed over the size-m subsets of the tables' union, per m.
 
@@ -136,8 +157,7 @@ def _subset_sums(kind: MeasureKind, tables: Sequence[SizeIndexedTable]) -> list[
     if kind is MeasureKind.R:
         (table,) = tables
         return [sum(t * c for t, c in enumerate(row)) for row in table.counts]
-    flip = _complement if kind is MeasureKind.DRASTIC else list
-    return flip(reduce(_convolve, (flip(t.counts) for t in tables), [1]))
+    return _flip(kind, reduce(_convolve, (_flip(kind, t.counts) for t in tables), [1]))
 
 
 def _complement(counts: Sequence[int]) -> list[int]:
@@ -146,15 +166,34 @@ def _complement(counts: Sequence[int]) -> list[int]:
     return [comb(n, j) - c for j, c in enumerate(counts)]
 
 
+# Above this many coefficient products, one bigint multiply beats the loop.
+_KRONECKER_MIN = 256
+
+
 def _convolve(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return out
+    """Product of two polynomials with non-negative integer coefficients.
+
+    Long inputs use Kronecker substitution: each is packed into one integer
+    with a slot wide enough for any product coefficient, multiplied once,
+    and unpacked.
+    """
+    if len(a) * len(b) < _KRONECKER_MIN:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if not x:
+                continue
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+        return out
+    width = (max(a) * max(b) * min(len(a), len(b))).bit_length() // 8 + 1
+    packed = _pack(a, width) * _pack(b, width)
+    data = packed.to_bytes(width * (len(a) + len(b) - 1), "little")
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+
+
+def _pack(coefficients: list[int], width: int) -> int:
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coefficients), "little")
 
 
 def _binomials(n: int) -> list[int]:
@@ -231,12 +270,15 @@ def _kept_block(n: int, children: list[list[list[int]]]) -> list[list[int]]:
     """A block subset keeps its best subblock part: kept is the max over children.
 
     So a block subset keeps at most k facts iff every child part does, and
-    for each k the counts of "kept <= k" convolve over the children.
+    for each k the counts of "kept <= k" convolve over the children.  Each
+    child's "kept <= k" counts are prefix sums of its rows, built once.  No
+    subset keeps more than the largest child, so k stops there.
     """
+    cumulative = [[list(accumulate(row)) for row in child] for child in children]
     table = [[0] * (j + 1) for j in range(n + 1)]
     below = [0] * (n + 1)
-    for k in range(n + 1):
-        parts = ([sum(row[: k + 1]) for row in child] for child in children)
+    for k in range(max(map(len, children))):
+        parts = ([row[min(k, j)] for j, row in enumerate(child)] for child in cumulative)
         at_most = reduce(_convolve, parts)
         for j in range(k, n + 1):
             table[j][k] = at_most[j] - below[j]
@@ -257,24 +299,33 @@ _DPS = {
 }
 
 
+def _fold(v: Vertex, dps: tuple) -> list:
+    leaf, block, join = dps
+    if v.is_leaf:
+        return leaf(v.size)
+    children = [_fold(c, dps) for c in v.children]
+    if v.kind is VertexKind.BLOCK:
+        return block(v.size, children)
+    return reduce(join, children)
+
+
+def _tree_sums(tree: BlockTree, kind: MeasureKind) -> list[int]:
+    """The measure summed over the size-j subsets of the tree's facts, per j."""
+    counts = _fold(tree.root, _DPS[kind])
+    if kind is MeasureKind.DRASTIC:
+        return _complement(counts)
+    if kind is MeasureKind.R:
+        return [sum((j - k) * c for k, c in enumerate(row)) for j, row in enumerate(counts)]
+    return counts
+
+
 def _root_table(tree: BlockTree, kind: MeasureKind) -> SizeIndexedTable:
-    leaf, block, join = _DPS[kind]
-
-    def fold(v: Vertex) -> list:
-        if v.is_leaf:
-            return leaf(v.size)
-        children = [fold(c) for c in v.children]
-        if v.kind is VertexKind.BLOCK:
-            return block(v.size, children)
-        return reduce(join, children)
-
-    n = tree.root.size
-    counts = fold(tree.root)
+    counts = _fold(tree.root, _DPS[kind])
     if kind is MeasureKind.DRASTIC:
         counts = _complement(counts)
     elif kind is MeasureKind.R:
         counts = [tuple(reversed(row)) for row in counts]  # cost = size - kept
-    return SizeIndexedTable(n, kind, tuple(counts))
+    return SizeIndexedTable(tree.root.size, kind, tuple(counts))
 
 
 def _containing_fact(full: SizeIndexedTable, without: SizeIndexedTable) -> SizeIndexedTable:
@@ -323,7 +374,7 @@ def r_tables(tree: BlockTree, fact: Fact | None = None) -> SizeIndexedTable:
 
 
 # ---------------------------------------------------------------------------
-# Multi-relation combination and the exact assembly
+# Units, multi-relation combination and the exact assembly
 
 
 def _chain_for(fds: FDSet, relation: str) -> tuple:
@@ -335,6 +386,26 @@ def _chain_for(fds: FDSet, relation: str) -> tuple:
             + IntractableExactError.suggestion
         )
     return cls.chain
+
+
+def _units(db: Database, chains: dict[str, tuple]) -> list[BlockTree]:
+    """One tree per unit: each level-1 block of a relation, or a whole relation without FDs."""
+    units = []
+    for relation, chain in chains.items():
+        tree = build_tree(db.facts_of(relation), chain, db.schema)
+        if chain:
+            units += [
+                BlockTree(relation, chain, Vertex(VertexKind.ROOT, 0, block.facts, [block]), db.schema)
+                for block in tree.root.children
+            ]
+        elif tree.root.facts:
+            units.append(tree)
+    return units
+
+
+def _check_schemas(db: Database, fds: FDSet) -> None:
+    if db.schema != fds.schema:
+        raise SchemaError("database and FD set are over different schemas")
 
 
 def multi_relation_combine(
@@ -363,77 +434,134 @@ def multi_relation_combine(
     return [Fraction(s, comb(n, m)) for m, s in enumerate(sums)]
 
 
-def _tree_based_shapley(
-    db: Database, fds: FDSet, fact: Fact, kind: MeasureKind
-) -> Fraction:
-    """Sum of gain[m] * m! * (n-1-m)! over n!, from two DP passes on f's relation.
+def _unit_weights(
+    kind: MeasureKind, fulls: list[list[int]], needed: set[int]
+) -> dict[int, tuple[list[int], int]]:
+    """Per needed unit B: (W_B, N!), so that value(f) = W_B . gain_B / N!.
 
-    Repair cost stays on f's relation; the drastic and repair-count
-    measures take the full table of every other relation as well.
+    Repair cost plays f's game on B alone (N = |B|, rest_B = [1]); drastic
+    and repair count fold in rest_B, the product of every other unit.
     """
-    relations = [fact.relation] if kind is MeasureKind.R else db.schema.relation_names
-    others, pair = [], None
-    for relation in relations:
-        chain = _chain_for(fds, relation)
-        facts = db.facts_of(relation)
-        full = _root_table(build_tree(facts, chain, db.schema), kind)
-        if relation != fact.relation:
-            others.append(full)
-            continue
-        base = [g for g in facts if g.id != fact.id]
-        without = _root_table(build_tree(base, chain, db.schema), kind)
-        pair = (without, _containing_fact(full, without))
-    without_f, with_f = (_subset_sums(kind, others + [t]) for t in pair)
-    n = len(with_f)
-    total = sum(
-        (w - wo) * factorial(m) * factorial(n - 1 - m)
-        for m, (w, wo) in enumerate(zip(with_f, without_f))
+    if kind is MeasureKind.R:
+        rests = {u: [1] for u in needed}
+    else:
+        flips = [_flip(kind, sums) for sums in fulls]
+        prefix = list(accumulate(flips, _convolve, initial=[1]))
+        suffix = list(accumulate(reversed(flips), _convolve, initial=[1]))[::-1]
+        rests = {u: _convolve(prefix[u], suffix[u + 1]) for u in needed}
+    scales: dict[int, list[int]] = {}
+    weights = {}
+    for u, rest in rests.items():
+        size = len(fulls[u]) - 1
+        n = len(rest) - 1 + size
+        if n not in scales:
+            scales[n] = [factorial(m) * factorial(n - 1 - m) for m in range(n)]
+        scale = scales[n]
+        weights[u] = (
+            [sum(r * scale[i + j] for i, r in enumerate(rest) if r) for j in range(size)],
+            factorial(n),
+        )
+    return weights
+
+
+def shapley_all(
+    db: Database, fds: FDSet, facts: Sequence[Fact], kind: MeasureKind
+) -> list[Fraction]:
+    """Exact attributions of `facts` under `kind`, in order; refuses intractable classes.
+
+    The pair-count and problematic-fact measures work for every FD set and
+    read one conflict graph.  The drastic and repair-count measures need an
+    lhs chain (up to equivalence) for every relation carrying FDs; repair
+    cost needs one for the relations of `facts` only.  Each unit is
+    tabulated once; each fact costs one DP pass on its unit without it.
+    """
+    facts = list(facts)
+    for fact in facts:
+        _require_member(db, fact)
+    if not isinstance(kind, MeasureKind):
+        raise InputError(f"unknown measure kind {kind!r}")
+    if not facts:
+        return []
+    _check_schemas(db, fds)
+    if kind is MeasureKind.MI or kind is MeasureKind.P:
+        graphs = build_conflict_graph(db, fds)
+        closed = _mi_value if kind is MeasureKind.MI else _p_value
+        return [closed(graphs[f.relation].adjacency, f.index) for f in facts]
+    relations = (
+        dict.fromkeys(f.relation for f in facts)
+        if kind is MeasureKind.R
+        else db.schema.relation_names
     )
-    return Fraction(total, factorial(n))
+    units = _units(db, {relation: _chain_for(fds, relation) for relation in relations})
+    unit_of = {f: u for u, tree in enumerate(units) for f in tree.root.facts}
+    fulls = [_tree_sums(tree, kind) for tree in units]
+    weights = _unit_weights(kind, fulls, {unit_of[f] for f in facts})
+    values = []
+    for fact in facts:
+        u = unit_of[fact]
+        tree, full = units[u], fulls[u]
+        base = build_tree([g for g in tree.root.facts if g != fact], tree.chain, tree.schema)
+        without = _tree_sums(base, kind) + [0]
+        # The with-fact identity on sums: S + f over size-j subsets S of
+        # B - f sums to full[j+1] - without[j+1].
+        gain = (full[j + 1] - without[j + 1] - without[j] for j in range(len(without) - 1))
+        scale, denominator = weights[u]
+        values.append(Fraction(sum(w * g for w, g in zip(scale, gain)), denominator))
+    return values
+
+
+def chain_measure(kind: MeasureKind, db: Database, fds: FDSet) -> int | None:
+    """Drastic, repair-count or repair-cost measure of the whole database off unit tables.
+
+    None when some relation has no lhs chain up to equivalence.
+    """
+    _check_schemas(db, fds)
+    chains = {}
+    for relation in db.schema.relation_names:
+        cls = classify_relation(fds.per_relation(relation))
+        if cls.kind is not TractabilityKind.LHS_CHAIN:
+            return None
+        chains[relation] = cls.chain
+    # Entry |B| of a unit's sums is the measure of the unit itself.
+    tops = [_tree_sums(tree, kind)[-1] for tree in _units(db, chains)]
+    if kind is MeasureKind.DRASTIC:
+        return int(any(tops))
+    if kind is MeasureKind.MC:
+        return prod(tops)
+    return sum(tops)
+
+
+def shapley_exact(db: Database, fds: FDSet, fact: Fact, kind: MeasureKind) -> Fraction:
+    """Exact attribution of `fact` under `kind`: the one-fact case of `shapley_all`."""
+    return shapley_all(db, fds, [fact], kind)[0]
+
+
+def shapley_mi(db: Database, fds: FDSet, fact: Fact) -> Fraction:
+    """Attribution under the violating-pair count: half the conflict degree."""
+    return shapley_exact(db, fds, fact, MeasureKind.MI)
+
+
+def shapley_p(db: Database, fds: FDSet, fact: Fact) -> Fraction:
+    """Attribution under the problematic-fact count (facts in any violation)."""
+    return shapley_exact(db, fds, fact, MeasureKind.P)
 
 
 def shapley_drastic(db: Database, fds: FDSet, fact: Fact) -> Fraction:
     """Attribution under the 0/1 inconsistency indicator (lhs chains only)."""
-    _require_member(db, fact)
-    return _tree_based_shapley(db, fds, fact, MeasureKind.DRASTIC)
+    return shapley_exact(db, fds, fact, MeasureKind.DRASTIC)
 
 
 def shapley_mc(db: Database, fds: FDSet, fact: Fact) -> Fraction:
     """Attribution under the repair count (lhs chains only)."""
-    _require_member(db, fact)
-    return _tree_based_shapley(db, fds, fact, MeasureKind.MC)
+    return shapley_exact(db, fds, fact, MeasureKind.MC)
 
 
 def shapley_r(db: Database, fds: FDSet, fact: Fact) -> Fraction:
-    """Attribution under cardinality-repair cost, on the fact's relation.
+    """Attribution under cardinality-repair cost, within the fact's unit.
 
-    The cost is additive over relations and a fact is a null player in
-    every other relation's summand, so the value over the whole database
-    equals the value computed within the fact's relation (which must have
-    an lhs chain up to equivalence).
+    The cost is additive over units and a fact is a null player in every
+    other unit's summand, so the value over the whole database equals the
+    value computed within the fact's unit (its relation must have an lhs
+    chain up to equivalence).
     """
-    _require_member(db, fact)
-    return _tree_based_shapley(db, fds, fact, MeasureKind.R)
-
-
-def shapley_exact(db: Database, fds: FDSet, fact: Fact, kind: MeasureKind) -> Fraction:
-    """Exact attribution of `fact` under `kind`; refuses intractable classes.
-
-    The pair-count and problematic-fact measures work for every FD set.
-    The drastic and repair-count measures need an lhs chain (up to
-    equivalence) for every relation carrying FDs; repair cost needs one
-    for the fact's relation only.
-    """
-    _require_member(db, fact)
-    dispatch = {
-        MeasureKind.MI: shapley_mi,
-        MeasureKind.P: shapley_p,
-        MeasureKind.R: shapley_r,
-        MeasureKind.DRASTIC: shapley_drastic,
-        MeasureKind.MC: shapley_mc,
-    }
-    try:
-        handler = dispatch[kind]
-    except KeyError:
-        raise InputError(f"unknown measure kind {kind!r}") from None
-    return handler(db, fds, fact)
+    return shapley_exact(db, fds, fact, MeasureKind.R)

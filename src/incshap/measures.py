@@ -240,7 +240,18 @@ class CoalitionEvaluator:
 
 
 def measure(kind: MeasureKind, db: Database, fds: FDSet, budget: int | None = None) -> int:
-    """Exact measure value of the whole database."""
+    """Exact measure value of the whole database.
+
+    Without a budget, drastic, repair count and repair cost are read off the
+    chain DP tables when every relation has an lhs chain; otherwise (and for
+    the pair and problematic-fact counts) the coalition evaluator runs.
+    """
+    if budget is None and kind in (MeasureKind.DRASTIC, MeasureKind.MC, MeasureKind.R):
+        from .exact import chain_measure  # exact imports this module
+
+        value = chain_measure(kind, db, fds)
+        if value is not None:
+            return value
     engine = CoalitionEvaluator(db, fds, budget=budget)
     return engine.value(kind, engine.full_mask)
 

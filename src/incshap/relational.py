@@ -21,15 +21,18 @@ class Schema:
     relations: tuple[tuple[str, tuple[str, ...]], ...]
 
     def __post_init__(self):
-        seen = set()
+        positions: dict[str, dict[str, int]] = {}
         for name, attrs in self.relations:
-            if name in seen:
+            if name in positions:
                 raise SchemaError(f"duplicate relation name {name!r}")
-            seen.add(name)
             if not attrs:
                 raise SchemaError(f"relation {name!r} has no attributes")
             if len(set(attrs)) != len(attrs):
                 raise SchemaError(f"relation {name!r} has duplicate attributes")
+            positions[name] = {a: i for i, a in enumerate(attrs)}
+        # Lookup indexes, built once (not fields: equality and hashing ignore them).
+        object.__setattr__(self, "_attributes", dict(self.relations))
+        object.__setattr__(self, "_positions", positions)
 
     @classmethod
     def from_dict(cls, mapping: dict[str, Iterable[str]]) -> "Schema":
@@ -40,19 +43,19 @@ class Schema:
         return tuple(name for name, _ in self.relations)
 
     def attributes(self, relation: str) -> tuple[str, ...]:
-        for name, attrs in self.relations:
-            if name == relation:
-                return attrs
-        raise SchemaError(f"unknown relation {relation!r}")
+        try:
+            return self._attributes[relation]
+        except KeyError:
+            raise SchemaError(f"unknown relation {relation!r}") from None
 
     def has_relation(self, relation: str) -> bool:
-        return any(name == relation for name, _ in self.relations)
+        return relation in self._attributes
 
     def position(self, relation: str, attribute: str) -> int:
-        attrs = self.attributes(relation)
+        self.attributes(relation)
         try:
-            return attrs.index(attribute)
-        except ValueError:
+            return self._positions[relation][attribute]
+        except KeyError:
             raise SchemaError(
                 f"unknown attribute {attribute!r} in relation {relation!r}"
             ) from None
@@ -134,6 +137,8 @@ class Database:
     facts: tuple[Fact, ...] = field(default=())
 
     def __post_init__(self):
+        by_relation: dict[str, list[Fact]] = {name: [] for name in self.schema.relation_names}
+        by_id: dict[str, Fact] = {}
         for fact in self.facts:
             attrs = self.schema.attributes(fact.relation)
             if len(fact.values) != len(attrs):
@@ -141,6 +146,13 @@ class Database:
                     f"fact {fact.id} has {len(fact.values)} values, "
                     f"expected {len(attrs)}"
                 )
+            by_relation[fact.relation].append(fact)
+            by_id.setdefault(fact.id, fact)
+        # Lookup indexes, built once (not fields: equality and hashing ignore them).
+        object.__setattr__(
+            self, "_by_relation", {name: tuple(fs) for name, fs in by_relation.items()}
+        )
+        object.__setattr__(self, "_by_id", by_id)
         for relation in self.schema.relation_names:
             seen: dict[tuple[str, ...], Fact] = {}
             for fact in self.facts_of(relation):
@@ -161,16 +173,16 @@ class Database:
         return cls(schema, tuple(facts))
 
     def facts_of(self, relation: str) -> tuple[Fact, ...]:
-        return tuple(f for f in self.facts if f.relation == relation)
+        return self._by_relation.get(relation, ())
 
     def get(self, fact_id: str) -> Fact:
-        for fact in self.facts:
-            if fact.id == fact_id:
-                return fact
-        raise InputError(f"no fact with id {fact_id!r}")
+        try:
+            return self._by_id[fact_id]
+        except KeyError:
+            raise InputError(f"no fact with id {fact_id!r}") from None
 
     def __contains__(self, fact: Fact) -> bool:
-        return fact in self.facts
+        return self._by_id.get(fact.id) == fact
 
     def __len__(self) -> int:
         return len(self.facts)

@@ -1,7 +1,9 @@
 """Block/subblock tree construction."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -12,6 +14,9 @@ from incshap import (
     build_conflict_graph,
     build_tree,
     classify,
+    drastic_tables,
+    mc_tables,
+    r_tables,
     violates,
 )
 from incshap.block_tree import VertexKind
@@ -107,3 +112,22 @@ def test_every_violating_pair_shares_a_block():
         for i, j in graph.edges:
             ids = {f"R:{i}", f"R:{j}"}
             assert any(ids <= set(_ids(b)) for b in blocks)
+
+
+def test_tree_freed_without_cycle_collection(trains):
+    """Building, dumping and folding a tree leaves no reference cycle behind."""
+    db, fds = trains
+    chain = _chain(fds, "Trains")
+    gc.collect()
+    gc.disable()
+    try:
+        tree = build_tree(db.facts, chain, db.schema)
+        assert tree.dump()
+        for builder in (drastic_tables, mc_tables, r_tables):
+            assert builder(tree).size == len(db)
+        ref = weakref.ref(tree)
+        del tree
+        assert ref() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -268,3 +268,48 @@ def test_golden_approx_reports(m):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_APPROX_SHA256[m]
+
+
+# sha256 of exact `shapley --all` on Trains, recorded from the per-fact exact
+# engine that preceded the block-local one.
+GOLDEN_EXACT_SHA256 = {
+    "d": "27fcb03608580db09f6fb5658d1e49c23d92da894f0f012e507ab8957a209d30",
+    "mi": "de27364740ec4211131c26c89255c925015ce6120792e78aaa039805dc0c9422",
+    "p": "fa3466573f58711728e97be9a0242298833d97e286f9f127589d22f20a727669",
+    "r": "102d6bb86ac577533ffe681ee0c8953efe6acf806aacb281eb90321597fc551d",
+    "mc": "11e621ce4702100bcf16774e6232666d868840f0514f3ccd245c51d9a4573a65",
+}
+
+
+@pytest.mark.parametrize("m", sorted(GOLDEN_EXACT_SHA256))
+def test_golden_exact_reports(m):
+    code, out, _ = run(["--manifest", TRAINS, "shapley", "--measure", m, "--all"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_EXACT_SHA256[m]
+
+
+def test_budget_checked_by_the_parser():
+    """Every subcommand with --budget rejects a negative or non-integer one."""
+    for argv in (
+        ["shapley", "--measure", "r", "--all", "--budget", "-1"],
+        ["shapley", "--measure", "d", "--fact", "Trains:0", "--budget", "-3"],
+        ["rank", "--measure", "mc", "--top", "2", "--budget", "-1"],
+        ["measure", "--measure", "mi", "--budget", "-2"],
+    ):
+        code, out, err = run(["--manifest", TRAINS] + argv)
+        assert code == 1 and out == ""
+        assert "non-negative" in err
+    code, out, err = run(["--manifest", TRAINS, "measure", "--measure", "r", "--budget", "x"])
+    assert code == 1 and out == "" and "--budget must be an integer" in err
+
+
+def test_measure_on_a_large_chain_component(tmp_path):
+    """120 facts in one conflict component: the repair count is read off the tables."""
+    rows = [f"a,b{b},c{c},d{d}" for b in range(2) for c in range(30) for d in range(2)]
+    (tmp_path / "r.csv").write_text("A,B,C,D\n" + "\n".join(rows) + "\n")
+    (tmp_path / "deps.fds").write_text("R: A -> B\nR: A C -> D\n")
+    manifest = {"schema": {"R": list("ABCD")}, "data": {"R": "r.csv"}, "fds": "deps.fds"}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    code, out, _ = run(["--manifest", str(path), "measure", "--measure", "mc"])
+    assert code == 0 and out == "2147483648\n"

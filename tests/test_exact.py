@@ -24,6 +24,7 @@ from incshap import (
     mc_tables,
     multi_relation_combine,
     r_tables,
+    shapley_all,
     shapley_bruteforce_subsets,
     shapley_drastic,
     shapley_exact,
@@ -33,10 +34,13 @@ from incshap import (
     shapley_r,
 )
 from incshap.errors import InputError
+from incshap.exact import chain_measure
 from incshap.fd_analysis import TractabilityKind
 
 from conftest import (
+    random_chain_fds,
     random_instance,
+    random_rows,
     random_two_relation_instance,
     symmetric_pairs,
 )
@@ -484,3 +488,126 @@ class TestMultiRelation:
                     assert shapley_exact(db, fds, fact, kind) == (
                         shapley_bruteforce_subsets(db, fds, fact, kind, engine=engine)
                     )
+
+
+def _no_fd_relation_instance(rng):
+    """R carries a random lhs chain, S no FDs at all."""
+    schema = Schema.from_dict({"R": ["A", "B", "C"], "S": ["X", "Y", "Z"]})
+    fds = FDSet(schema, random_chain_fds(rng, "R"))
+    db = Database.build(
+        schema, {"R": random_rows(rng, rng.randint(3, 7)), "S": random_rows(rng, rng.randint(1, 4))}
+    )
+    return db, fds
+
+
+def _empty_lhs_instance(rng):
+    """A chain whose first FD has an empty lhs: one unit holds the whole relation."""
+    schema = Schema.from_dict({"R": ["A", "B", "C"]})
+    fds = FDSet(
+        schema,
+        (
+            FD("R", frozenset(), frozenset({"A"})),
+            FD("R", frozenset({"B"}), frozenset({"C"})),
+        ),
+    )
+    return Database.build(schema, {"R": random_rows(rng, rng.randint(3, 8))}), fds
+
+
+class TestShapleyAll:
+    """The block-local engine against the subset-enumeration oracle."""
+
+    MAKERS = (
+        lambda rng: random_instance(rng, chain=True),
+        random_two_relation_instance,
+        _no_fd_relation_instance,
+        _empty_lhs_instance,
+    )
+
+    def test_equals_oracle_for_every_kind(self):
+        rng = random.Random(7117)
+        for trial in range(32):
+            db, fds = self.MAKERS[trial % len(self.MAKERS)](rng)
+            engine = CoalitionEvaluator(db, fds)
+            chosen = list(db.facts)
+            if trial % 2:
+                chosen = rng.sample(chosen, rng.randint(1, len(chosen)))
+            for kind in MeasureKind:
+                expected = [
+                    shapley_bruteforce_subsets(db, fds, f, kind, engine=engine) for f in chosen
+                ]
+                assert shapley_all(db, fds, chosen, kind) == expected, (kind, trial)
+
+    def test_empty_request(self, trains):
+        db, fds = trains
+        for kind in MeasureKind:
+            assert shapley_all(db, fds, [], kind) == []
+
+    def test_unknown_fact_and_kind_rejected(self, mini):
+        db, fds = mini
+        with pytest.raises(InputError, match="not in the database"):
+            shapley_all(db, fds, [Fact("R", ("z", "9"), 42)], MeasureKind.R)
+        with pytest.raises(InputError, match="unknown measure kind"):
+            shapley_all(db, fds, list(db.facts), "r")
+
+    def test_refusals_name_the_same_relation(self):
+        """d/mc refuse on the first relation without a chain in schema order;
+        r only on the relations of the requested facts."""
+        schema = Schema.from_dict({"R": ["A", "B"], "S": ["A", "B"], "T": ["A", "B"]})
+        rows = [("a", "1"), ("a", "2"), ("b", "2")]
+        fds = FDSet(
+            schema,
+            (
+                FD("R", frozenset({"A"}), frozenset({"B"})),
+                FD("S", frozenset({"A"}), frozenset({"B"})),
+                FD("S", frozenset({"B"}), frozenset({"A"})),
+                FD("T", frozenset({"A"}), frozenset({"B"})),
+                FD("T", frozenset({"B"}), frozenset({"A"})),
+            ),
+        )
+        db = Database.build(schema, {"R": rows, "S": rows, "T": rows})
+        r_facts = list(db.facts_of("R"))
+        for kind in (MeasureKind.DRASTIC, MeasureKind.MC):
+            with pytest.raises(IntractableExactError, match="relation 'S' has no lhs chain"):
+                shapley_all(db, fds, r_facts, kind)
+        assert shapley_all(db, fds, r_facts, MeasureKind.R) == [half, half, 0]
+        for facts in (db.facts_of("S") + db.facts_of("T"), db.facts):
+            with pytest.raises(IntractableExactError, match="relation 'T' has no lhs chain"):
+                shapley_all(db, fds, facts[::-1], MeasureKind.R)
+
+
+class TestMeasureFromTables:
+    def test_equals_coalition_evaluator(self):
+        rng = random.Random(8118)
+        for trial in range(60):
+            maker = TestShapleyAll.MAKERS[trial % len(TestShapleyAll.MAKERS)]
+            db, fds = maker(rng)
+            engine = CoalitionEvaluator(db, fds)
+            for kind in (MeasureKind.DRASTIC, MeasureKind.MC, MeasureKind.R):
+                expected = engine.value(kind, engine.full_mask)
+                assert chain_measure(kind, db, fds) == expected
+                assert measure(kind, db, fds) == expected
+
+    def test_no_chain_falls_back_to_the_evaluator(self, matching_constraint):
+        db, fds = matching_constraint
+        engine = CoalitionEvaluator(db, fds)
+        for kind in (MeasureKind.DRASTIC, MeasureKind.MC, MeasureKind.R):
+            assert chain_measure(kind, db, fds) is None
+            assert measure(kind, db, fds) == engine.value(kind, engine.full_mask)
+
+    def test_large_component_repair_count(self):
+        """120 facts in one conflict component with 2^31 repairs, counted by the DP."""
+        schema = Schema.from_dict({"R": ["A", "B", "C", "D"]})
+        fds = FDSet(
+            schema,
+            (
+                FD("R", frozenset({"A"}), frozenset({"B"})),
+                FD("R", frozenset({"A", "C"}), frozenset({"D"})),
+            ),
+        )
+        rows = [
+            ("a", f"b{b}", f"c{c}", f"d{d}") for b in range(2) for c in range(30) for d in range(2)
+        ]
+        db = Database.build(schema, {"R": rows})
+        assert measure(MeasureKind.MC, db, fds) == 2147483648
+        assert measure(MeasureKind.R, db, fds) == 90
+        assert measure(MeasureKind.DRASTIC, db, fds) == 1

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from incshap import (
     Database,
     FD,
+    Fact,
     FDSet,
     Schema,
     SchemaError,
@@ -153,3 +154,25 @@ def test_graphs_never_cross_relations():
     assert graphs["R"].edges == ((0, 1),)
     assert graphs["S"].edges == ((0, 1),)
     assert all(f.relation == "R" for f in graphs["R"].facts)
+
+
+def test_lookups_by_id_relation_and_attribute():
+    """The indexed lookups agree with a scan and keep their error types."""
+    schema = Schema.from_dict({"R": ["A", "B"], "S": ["C"], "T": ["D"]})
+    db = Database.build(schema, {"R": [("a", "1"), ("b", "2")], "S": [("x",)]})
+    for fact in db.facts:
+        assert db.get(fact.id) is fact and fact in db
+    assert db.facts_of("R") == tuple(f for f in db.facts if f.relation == "R")
+    assert db.facts_of("T") == ()
+    assert Fact("R", ("a", "9"), 0) not in db
+    with pytest.raises(InputError, match="no fact with id 'R:7'"):
+        db.get("R:7")
+    assert [schema.position("R", a) for a in ("A", "B")] == [0, 1]
+    with pytest.raises(SchemaError, match="unknown attribute 'C' in relation 'R'"):
+        schema.position("R", "C")
+    with pytest.raises(SchemaError, match="unknown relation 'U'"):
+        schema.position("U", "A")
+    with pytest.raises(SchemaError, match="unknown relation 'U'"):
+        schema.attributes("U")
+    assert schema.has_relation("T") and not schema.has_relation("U")
+    assert schema == Schema.from_dict({"R": ["A", "B"], "S": ["C"], "T": ["D"]})
