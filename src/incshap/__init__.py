@@ -32,6 +32,7 @@ from .exact import (
     SizeIndexedTable,
     drastic_tables,
     mc_tables,
+    measure,
     multi_relation_combine,
     r_tables,
     shapley_all,
@@ -66,7 +67,6 @@ from .measures import (
     MeasureKind,
     RepairEnumeration,
     enumerate_repairs,
-    measure,
 )
 from .oracle import (
     OracleLimits,

@@ -140,17 +140,14 @@ def estimate_all(
     kind: MeasureKind,
     params: ApproxParams,
     engine: CoalitionEvaluator | None = None,
-    budget: int | None = None,
 ) -> list[Estimate]:
     """Mean marginal contribution of each of ``facts`` over seeded permutations.
 
     Deterministic given (inputs, params, seed).  Each returned value is the
     exact rational mean of the sampled integer marginals, and equals what
-    ``estimate_shapley`` returns for that fact alone.  A node budget goes
-    either to the engine or to this call, not both.
+    ``estimate_shapley`` returns for that fact alone.  A node budget rides
+    on ``engine``; without one, an unbounded evaluator is built.
     """
-    if engine is not None and budget is not None:
-        raise InputError("give the node budget to the evaluator or to the sampler, not both")
     for fact in facts:
         if fact not in db:
             raise InputError(f"fact {fact.id} is not in the database")
@@ -158,7 +155,7 @@ def estimate_all(
     samples = sample_count(params, n, kind)
     guarantee = _guarantee(params, kind, db, fds)
     if engine is None:
-        engine = CoalitionEvaluator(db, fds, budget=budget)
+        engine = CoalitionEvaluator(db, fds)
     selected = {engine.bit_of[fact.id] for fact in facts}
     incremental_components = kind in (MeasureKind.R, MeasureKind.MC)
     order_template = list(range(n))
@@ -218,7 +215,6 @@ def estimate_shapley(
     kind: MeasureKind,
     params: ApproxParams,
     engine: CoalitionEvaluator | None = None,
-    budget: int | None = None,
 ) -> Estimate:
     """Mean marginal contribution of one fact; see ``estimate_all``."""
-    return estimate_all(db, fds, [fact], kind, params, engine=engine, budget=budget)[0]
+    return estimate_all(db, fds, [fact], kind, params, engine=engine)[0]

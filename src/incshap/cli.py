@@ -25,10 +25,10 @@ from .errors import (
     OracleLimitError,
     UnsupportedModeError,
 )
-from .exact import shapley_all
+from .exact import measure, shapley_all
 from .fd_analysis import TractabilityKind, classify
 from .io import load_instance, load_manifest
-from .measures import CoalitionEvaluator, MeasureKind, measure
+from .measures import CoalitionEvaluator, MeasureKind, check_budget
 from .oracle import OracleLimits, shapley_bruteforce_perms, shapley_bruteforce_subsets
 from .report import build_report, decimal_str, render_report
 
@@ -51,8 +51,7 @@ def _budget(text: str) -> int:
         value = int(text)
     except ValueError:
         raise InputError(f"--budget must be an integer, got {text!r}") from None
-    if value < 0:
-        raise InputError(f"the node budget must be non-negative, got {value}")
+    check_budget(value)
     return value
 
 
@@ -118,7 +117,7 @@ def _build_parser() -> _Parser:
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("INCSHAP_SEED")
     if env is not None:
@@ -129,7 +128,10 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _approx_params(args) -> ApproxParams:
+def _approx_params(args) -> ApproxParams | None:
+    """The sampler's parameters; None unless the method is approx."""
+    if args.method != "approx":
+        return None
     return ApproxParams(
         epsilon=args.eps,
         delta=args.delta,
@@ -140,36 +142,30 @@ def _approx_params(args) -> ApproxParams:
 
 
 def _selected_facts(db, args):
-    if getattr(args, "all", False):
+    if args.all:
         return list(db.facts)
     return [db.get(args.fact)]
 
 
-def _compute_values(db, fds, facts, kind, args, out_estimates):
-    method = getattr(args, "method", "exact")
-    values = []
-    if method == "exact":
-        values = [(f.id, v) for f, v in zip(facts, shapley_all(db, fds, facts, kind))]
-    elif method == "oracle":
+def _compute_values(db, fds, facts, kind, args, params):
+    """(fact id, value) pairs, and estimates by fact id when sampling with ``params``."""
+    ids = [fact.id for fact in facts]
+    if args.method == "exact":
+        return list(zip(ids, shapley_all(db, fds, facts, kind))), {}
+    if args.method == "oracle":
         engine = CoalitionEvaluator(db, fds)
-        for fact in facts:
-            values.append(
-                (fact.id, shapley_bruteforce_subsets(db, fds, fact, kind, engine=engine))
-            )
-    else:
-        estimates = estimate_all(db, fds, facts, kind, _approx_params(args), budget=args.budget)
-        for fact, est in zip(facts, estimates):
-            out_estimates[fact.id] = est
-            values.append((fact.id, est.value))
-    return values
+        values = [shapley_bruteforce_subsets(db, fds, f, kind, engine=engine) for f in facts]
+        return list(zip(ids, values)), {}
+    engine = CoalitionEvaluator(db, fds, budget=args.budget)
+    estimates = dict(zip(ids, estimate_all(db, fds, facts, kind, params, engine=engine)))
+    return [(fact_id, est.value) for fact_id, est in estimates.items()], estimates
 
 
-def _approx_meta(args, kind, n):
-    params = _approx_params(args)
+def _approx_meta(params, kind, n):
     return {
-        "epsilon": args.eps,
-        "delta": args.delta,
-        "mode": args.mode,
+        "epsilon": params.epsilon,
+        "delta": params.delta,
+        "mode": params.mode.value,
         "seed": params.seed,
         "samples": sample_count(params, n, kind),
     }
@@ -200,17 +196,16 @@ def _cmd_shapley(args, out):
     db, fds = load_instance(manifest)
     kind = MeasureKind(args.measure)
     facts = _selected_facts(db, args)
-    estimates = {}
-    values = _compute_values(db, fds, facts, kind, args, estimates)
-    meta = _approx_meta(args, kind, len(db)) if args.method == "approx" else None
+    params = _approx_params(args)
+    values, estimates = _compute_values(db, fds, facts, kind, args, params)
     report = build_report(
         kind,
         args.method,
         values,
-        total_measure=measure(kind, db, fds, budget=getattr(args, "budget", None)),
-        complete=bool(getattr(args, "all", False)),
+        total_measure=measure(kind, db, fds, budget=args.budget),
+        complete=args.all,
         estimates=estimates or None,
-        approx_meta=meta,
+        approx_meta=_approx_meta(params, kind, len(db)) if params is not None else None,
     )
     print(render_report(report), file=out)
     return 0
@@ -222,8 +217,7 @@ def _cmd_rank(args, out):
     manifest = load_manifest(args.manifest)
     db, fds = load_instance(manifest)
     kind = MeasureKind(args.measure)
-    estimates = {}
-    values = _compute_values(db, fds, list(db.facts), kind, args, estimates)
+    values, _ = _compute_values(db, fds, list(db.facts), kind, args, _approx_params(args))
     ranked = sorted(values, key=lambda item: (-item[1], item[0]))
     for fact_id, value in ranked[: args.top]:
         print(f"{fact_id}\t{decimal_str(Fraction(value))}", file=out)
@@ -248,7 +242,7 @@ def _cmd_oracle(args, out):
         "oracle",
         values,
         total_measure=measure(kind, db, fds),
-        complete=bool(getattr(args, "all", False)),
+        complete=args.all,
     )
     print(render_report(report), file=out)
     return 0

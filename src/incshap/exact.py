@@ -64,9 +64,11 @@ the table of B and without that of B - f.  The identity holds entry by
 entry for all three tables (for consistent counts too, since
 C(n, j+1) - C(n-1, j+1) = C(n-1, j)).
 
-The same full tables give the whole-database measure (`chain_measure`):
-the database is inconsistent iff some unit is, its repair count is the
-product of the units' and its repair cost the sum of the units'.
+The same full tables give the whole-database measure (`measure`): the
+database is inconsistent iff some unit is, its repair count is the product
+of the units' and its repair cost the sum of the units'.  Only without an
+lhs chain does `measure` fall back to the coalition evaluator's searches,
+which a node budget bounds.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ from typing import Sequence
 from .block_tree import BlockTree, Vertex, VertexKind, build_tree
 from .errors import InputError, IntractableExactError, SchemaError
 from .fd_analysis import TractabilityKind, classify_relation
-from .measures import MeasureKind
+from .measures import CoalitionEvaluator, MeasureKind, check_budget
 from .relational import Database, Fact, FDSet, build_conflict_graph
 
 
@@ -309,16 +311,6 @@ def _fold(v: Vertex, dps: tuple) -> list:
     return reduce(join, children)
 
 
-def _tree_sums(tree: BlockTree, kind: MeasureKind) -> list[int]:
-    """The measure summed over the size-j subsets of the tree's facts, per j."""
-    counts = _fold(tree.root, _DPS[kind])
-    if kind is MeasureKind.DRASTIC:
-        return _complement(counts)
-    if kind is MeasureKind.R:
-        return [sum((j - k) * c for k, c in enumerate(row)) for j, row in enumerate(counts)]
-    return counts
-
-
 def _root_table(tree: BlockTree, kind: MeasureKind) -> SizeIndexedTable:
     counts = _fold(tree.root, _DPS[kind])
     if kind is MeasureKind.DRASTIC:
@@ -326,6 +318,11 @@ def _root_table(tree: BlockTree, kind: MeasureKind) -> SizeIndexedTable:
     elif kind is MeasureKind.R:
         counts = [tuple(reversed(row)) for row in counts]  # cost = size - kept
     return SizeIndexedTable(tree.root.size, kind, tuple(counts))
+
+
+def _tree_sums(tree: BlockTree, kind: MeasureKind) -> list[int]:
+    """The measure summed over the size-j subsets of the tree's facts, per j."""
+    return _subset_sums(kind, [_root_table(tree, kind)])
 
 
 def _containing_fact(full: SizeIndexedTable, without: SizeIndexedTable) -> SizeIndexedTable:
@@ -377,15 +374,19 @@ def r_tables(tree: BlockTree, fact: Fact | None = None) -> SizeIndexedTable:
 # Units, multi-relation combination and the exact assembly
 
 
-def _chain_for(fds: FDSet, relation: str) -> tuple:
-    cls = classify_relation(fds.per_relation(relation))
-    if cls.kind is not TractabilityKind.LHS_CHAIN:
-        raise IntractableExactError(
-            f"relation {relation!r} has no lhs chain up to equivalence "
-            f"({cls.kind.value}); exact computation refused: "
-            + IntractableExactError.suggestion
-        )
-    return cls.chain
+def _lhs_chains(fds: FDSet, relations) -> dict[str, tuple]:
+    """The lhs chain of each relation; refuses a relation without one."""
+    chains = {}
+    for relation in relations:
+        cls = classify_relation(fds.per_relation(relation))
+        if cls.kind is not TractabilityKind.LHS_CHAIN:
+            raise IntractableExactError(
+                f"relation {relation!r} has no lhs chain up to equivalence "
+                f"({cls.kind.value}); exact computation refused: "
+                + IntractableExactError.suggestion
+            )
+        chains[relation] = cls.chain
+    return chains
 
 
 def _units(db: Database, chains: dict[str, tuple]) -> list[BlockTree]:
@@ -409,9 +410,7 @@ def _check_schemas(db: Database, fds: FDSet) -> None:
 
 
 def multi_relation_combine(
-    kind: MeasureKind,
-    tables: Sequence[SizeIndexedTable],
-    sizes: Sequence[int] | None = None,
+    kind: MeasureKind, tables: Sequence[SizeIndexedTable]
 ) -> list[Fraction]:
     """Combine per-relation root tables into whole-database expectations.
 
@@ -421,9 +420,6 @@ def multi_relation_combine(
     with null players outside the fact's relation, so they are computed on
     one relation and never combined here.
     """
-    tables = list(tables)
-    if sizes is not None and list(sizes) != [t.size for t in tables]:
-        raise InputError("declared sizes do not match the tables")
     if kind not in (MeasureKind.DRASTIC, MeasureKind.MC):
         raise InputError(
             f"measure {kind.value!r} is additive over relations; "
@@ -492,7 +488,7 @@ def shapley_all(
         if kind is MeasureKind.R
         else db.schema.relation_names
     )
-    units = _units(db, {relation: _chain_for(fds, relation) for relation in relations})
+    units = _units(db, _lhs_chains(fds, relations))
     unit_of = {f: u for u, tree in enumerate(units) for f in tree.root.facts}
     fulls = [_tree_sums(tree, kind) for tree in units]
     weights = _unit_weights(kind, fulls, {unit_of[f] for f in facts})
@@ -510,25 +506,29 @@ def shapley_all(
     return values
 
 
-def chain_measure(kind: MeasureKind, db: Database, fds: FDSet) -> int | None:
-    """Drastic, repair-count or repair-cost measure of the whole database off unit tables.
+def measure(kind: MeasureKind, db: Database, fds: FDSet, budget: int | None = None) -> int:
+    """Exact measure value of the whole database.
 
-    None when some relation has no lhs chain up to equivalence.
+    Drastic, repair count and repair cost are read off the unit tables when
+    every relation has an lhs chain up to equivalence.  Otherwise, and for
+    the pair and problematic-fact counts, the coalition evaluator runs; the
+    node budget bounds only its exponential searches.
     """
+    check_budget(budget)
     _check_schemas(db, fds)
-    chains = {}
-    for relation in db.schema.relation_names:
-        cls = classify_relation(fds.per_relation(relation))
-        if cls.kind is not TractabilityKind.LHS_CHAIN:
-            return None
-        chains[relation] = cls.chain
-    # Entry |B| of a unit's sums is the measure of the unit itself.
-    tops = [_tree_sums(tree, kind)[-1] for tree in _units(db, chains)]
-    if kind is MeasureKind.DRASTIC:
-        return int(any(tops))
-    if kind is MeasureKind.MC:
-        return prod(tops)
-    return sum(tops)
+    if kind in (MeasureKind.DRASTIC, MeasureKind.MC, MeasureKind.R):
+        try:
+            chains = _lhs_chains(fds, db.schema.relation_names)
+        except IntractableExactError:
+            pass
+        else:
+            # Entry |B| of a unit's sums is the measure of the unit itself.
+            tops = [_tree_sums(tree, kind)[-1] for tree in _units(db, chains)]
+            if kind is MeasureKind.DRASTIC:
+                return int(any(tops))
+            return prod(tops) if kind is MeasureKind.MC else sum(tops)
+    engine = CoalitionEvaluator(db, fds, budget=budget)
+    return engine.value(kind, engine.full_mask)
 
 
 def shapley_exact(db: Database, fds: FDSet, fact: Fact, kind: MeasureKind) -> Fraction:

@@ -2,10 +2,12 @@
 
 For FDs, a fact set is consistent iff it is pairwise consistent, so repairs
 are exactly maximal independent sets of the conflict graph and the
-cardinality-repair cost is its minimum vertex cover.  One engine therefore
-covers every tractability class at desk scale; the vertex-cover and
-repair-counting searches are exponential in the worst case and honor an
-optional node budget.
+cardinality-repair cost is its minimum vertex cover.  The coalition
+evaluator computes any measure on any fact subset, whatever the FD class,
+for the sampler, the oracle, and the whole-database measures that
+``exact.measure`` does not read off the lhs-chain DP tables.  Its
+vertex-cover and repair-counting searches are exponential in the worst
+case and honor an optional node budget.
 """
 
 from __future__ import annotations
@@ -26,6 +28,12 @@ class MeasureKind(enum.Enum):
     MC = "mc"
 
 
+def check_budget(budget: int | None) -> None:
+    """Reject a negative node budget; None means unbounded."""
+    if budget is not None and budget < 0:
+        raise InputError(f"the node budget must be non-negative, got {budget}")
+
+
 class CoalitionEvaluator:
     """Evaluates any measure on arbitrary fact subsets encoded as bitmasks.
 
@@ -37,8 +45,7 @@ class CoalitionEvaluator:
     def __init__(self, db: Database, fds: FDSet, budget: int | None = None):
         if db.schema != fds.schema:
             raise SchemaError("database and FD set are over different schemas")
-        if budget is not None and budget < 0:
-            raise InputError(f"the node budget must be non-negative, got {budget}")
+        check_budget(budget)
         self.db = db
         self.fds = fds
         self.budget = budget
@@ -237,23 +244,6 @@ class CoalitionEvaluator:
             )
             candidates &= ~bit
             excluded |= bit
-
-
-def measure(kind: MeasureKind, db: Database, fds: FDSet, budget: int | None = None) -> int:
-    """Exact measure value of the whole database.
-
-    Without a budget, drastic, repair count and repair cost are read off the
-    chain DP tables when every relation has an lhs chain; otherwise (and for
-    the pair and problematic-fact counts) the coalition evaluator runs.
-    """
-    if budget is None and kind in (MeasureKind.DRASTIC, MeasureKind.MC, MeasureKind.R):
-        from .exact import chain_measure  # exact imports this module
-
-        value = chain_measure(kind, db, fds)
-        if value is not None:
-            return value
-    engine = CoalitionEvaluator(db, fds, budget=budget)
-    return engine.value(kind, engine.full_mask)
 
 
 @dataclass(frozen=True)

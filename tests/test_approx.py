@@ -136,7 +136,10 @@ class TestEstimate:
         db, fds = trains
         params = ApproxParams(0.5, 0.5, seed=3)
         with pytest.raises(BudgetExceededError, match="coalition of size"):
-            estimate_shapley(db, fds, db.facts[0], MeasureKind.R, params, budget=1)
+            estimate_shapley(
+                db, fds, db.facts[0], MeasureKind.R, params,
+                engine=CoalitionEvaluator(db, fds, budget=1),
+            )
 
     def test_empirical_coverage_small(self, mini):
         """Loose coverage check; the acceptance suite runs the full one."""
@@ -232,15 +235,6 @@ class TestSharedWalk:
             draws.clear()
             estimate_all(db, fds, list(db.facts), kind, params)
             assert draws == list(range(7))
-
-    def test_engine_and_budget_together_rejected(self, trains):
-        db, fds = trains
-        engine = CoalitionEvaluator(db, fds)
-        params = ApproxParams(0.3, 0.3)
-        with pytest.raises(InputError, match="budget"):
-            estimate_shapley(db, fds, db.facts[0], MeasureKind.R, params, engine=engine, budget=5)
-        with pytest.raises(InputError, match="budget"):
-            estimate_all(db, fds, list(db.facts), MeasureKind.R, params, engine=engine, budget=5)
 
 
 @pytest.mark.parametrize("kind", list(MeasureKind))

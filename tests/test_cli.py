@@ -249,6 +249,17 @@ def test_approx_budget_refusal_exits_2():
     assert "refused" in err
 
 
+def test_budget_leaves_chain_measures_alone():
+    """Trains has an lhs chain: its exact numbers run no search, so a budget never refuses."""
+    for m, expected in (("r", "6\n"), ("mc", "5\n")):
+        code, out, _ = run(["--manifest", TRAINS, "measure", "--measure", m, "--budget", "1"])
+        assert code == 0 and out == expected
+    argv = ["--manifest", TRAINS, "shapley", "--measure", "r", "--all"]
+    code, out, _ = run(argv + ["--budget", "1"])
+    assert code == 0
+    assert out == run(argv)[1]
+
+
 # sha256 of `shapley --all --method approx --seed 7` on Trains, recorded from
 # the per-fact sampler that preceded the shared permutation walk.
 GOLDEN_APPROX_SHA256 = {

@@ -34,7 +34,6 @@ from incshap import (
     shapley_r,
 )
 from incshap.errors import InputError
-from incshap.exact import chain_measure
 from incshap.fd_analysis import TractabilityKind
 
 from conftest import (
@@ -584,14 +583,14 @@ class TestMeasureFromTables:
             engine = CoalitionEvaluator(db, fds)
             for kind in (MeasureKind.DRASTIC, MeasureKind.MC, MeasureKind.R):
                 expected = engine.value(kind, engine.full_mask)
-                assert chain_measure(kind, db, fds) == expected
                 assert measure(kind, db, fds) == expected
+                # The tables run no search, so no budget can stop them.
+                assert measure(kind, db, fds, budget=0) == expected
 
     def test_no_chain_falls_back_to_the_evaluator(self, matching_constraint):
         db, fds = matching_constraint
         engine = CoalitionEvaluator(db, fds)
         for kind in (MeasureKind.DRASTIC, MeasureKind.MC, MeasureKind.R):
-            assert chain_measure(kind, db, fds) is None
             assert measure(kind, db, fds) == engine.value(kind, engine.full_mask)
 
     def test_large_component_repair_count(self):

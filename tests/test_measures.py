@@ -140,12 +140,16 @@ def test_monotone_under_insertion():
             assert measure(kind, smaller, fds) <= measure(kind, larger, fds)
 
 
-def test_budget_abort(trains):
-    db, fds = trains
+def test_budget_abort(matching_constraint, trains):
+    """A budget bounds the searches without an lhs chain, and only those."""
+    db, fds = matching_constraint
     with pytest.raises(BudgetExceededError):
         measure(MeasureKind.R, db, fds, budget=1)
     with pytest.raises(BudgetExceededError):
         measure(MeasureKind.MC, db, fds, budget=1)
+    db, fds = trains
+    assert measure(MeasureKind.R, db, fds, budget=1) == measure(MeasureKind.R, db, fds) == 6
+    assert measure(MeasureKind.MC, db, fds, budget=1) == measure(MeasureKind.MC, db, fds) == 5
 
 
 def test_negative_budget_rejected(trains):
@@ -155,7 +159,10 @@ def test_negative_budget_rejected(trains):
     with pytest.raises(InputError, match="non-negative"):
         measure(MeasureKind.MC, db, fds, budget=-5)
     with pytest.raises(InputError, match="non-negative"):
-        estimate_shapley(db, fds, db.facts[0], MeasureKind.R, ApproxParams(0.1, 0.05), budget=-5)
+        estimate_shapley(
+            db, fds, db.facts[0], MeasureKind.R, ApproxParams(0.1, 0.05),
+            engine=CoalitionEvaluator(db, fds, budget=-5),
+        )
     assert CoalitionEvaluator(db, fds, budget=0).budget == 0
 
 
