@@ -19,9 +19,10 @@ relations never conflict with a fact, so they are null players):
 The drastic, repair-cost, and repair-count measures work on units.  In a
 relation whose FDs form an lhs chain every lhs contains the first one, so
 facts in different level-1 blocks (groups on the first lhs) never
-conflict.  A unit is one level-1 block, or a whole relation without FDs;
-each is a union of conflict components.  Every unit is tabulated once, and
-each fact f costs one more DP pass, on its unit B minus f.  With
+conflict.  One block/subblock tree is built per relation, and its units are
+vertices of it: each level-1 block, or the root of a relation without FDs;
+each is a union of conflict components.  Every unit is folded once, and
+each fact f costs one more fold of its unit B with f left out.  With
 gain_B[j] the measure summed over the size-j subsets S of B - f as
 I(S + f) - I(S) within B, an integer:
 
@@ -29,13 +30,14 @@ I(S + f) - I(S) within B, an integer:
   its own, so f's value is its value in the game on B:
   value(f) = sum over j of gain_B[j] * j! * (|B|-1-j)! / |B|!.
 * drastic and repair count are products over units (drastic through the
-  consistent indicator), so their per-size sums over the whole database
-  convolve over units, across relations.  With rest_B the convolution of
-  every other unit's consistent-subset counts (drastic) or summed repair
-  counts (repair count), built once per command from prefix and suffix
-  products, and N = |D|, the weights fold once per unit:
+  consistent indicator 1 - I), so their per-size sums over the whole
+  database convolve over units, across relations.  With rest_B the
+  convolution of every other unit's consistent-subset counts (drastic) or
+  summed repair counts (repair count), built once per command from prefix
+  and suffix products, and N = |D|, the weights fold once per unit:
   W_B[j] = sum over i of rest_B[i] * (i+j)! * (N-1-i-j)!, and
-  value(f) = sum over j of W_B[j] * gain_B[j] / N!.
+  value(f) = sum over j of W_B[j] * gain_B[j] / N!.  Drastic takes gain_B
+  in consistent counts too, the gains of 1 - I, so its value flips sign.
 
 Each value is built as one Fraction at the end.  The per-size sums come
 from integer tables computed bottom-up over the block/subblock tree of a
@@ -57,18 +59,18 @@ set of facts:
 Dividing a table entry by C(n, j) recovers the probability or expectation;
 the integer form keeps the convolutions exact and cheap.
 
-Every DP is fact-free: it tabulates one fact set, and the tables "with f"
-follow from two of them.  A size-(j+1) subset of B either leaves f out or
-is S + f with |S| = j, so with[j] = full[j+1] - without[j+1], where full is
-the table of B and without that of B - f.  The identity holds entry by
-entry for all three tables (for consistent counts too, since
-C(n, j+1) - C(n-1, j+1) = C(n-1, j)).
+The tables "with f" follow from two folds.  A size-(j+1) subset of B
+either leaves f out or is S + f with |S| = j, so with[j] = full[j+1] -
+without[j+1], where full is the fold of B and without its fold with f left
+out: f's leaf and every vertex on its path count one fact fewer.  The
+identity holds entry by entry for all three tables (for consistent counts
+too, since C(n, j+1) - C(n-1, j+1) = C(n-1, j)).
 
 The same full tables give the whole-database measure (`measure`): the
-database is inconsistent iff some unit is, its repair count is the product
-of the units' and its repair cost the sum of the units'.  Only without an
-lhs chain does `measure` fall back to the coalition evaluator's searches,
-which a node budget bounds.
+database is consistent iff every unit is, its repair count is the product
+of the units' and its repair cost the sum of the units'.  The facts of
+relations without an lhs chain go to the coalition evaluator, whose
+searches a node budget bounds, and combine with the units the same way.
 """
 
 from __future__ import annotations
@@ -136,30 +138,10 @@ class SizeIndexedTable:
         return self.expectations()[j]
 
     def expectations(self) -> list[Fraction]:
-        sums = _subset_sums(self.kind, [self])
+        sums = self.counts
+        if self.kind is MeasureKind.R:
+            sums = [sum(t * c for t, c in enumerate(row)) for row in self.counts]
         return [Fraction(s, comb(self.size, j)) for j, s in enumerate(sums)]
-
-
-def _flip(kind: MeasureKind, sums: Sequence[int]) -> Sequence[int]:
-    """Per-size counts that multiply over fact sets that never conflict.
-
-    Consistent-subset counts for drastic (from violating ones), summed
-    repair counts for repair count.
-    """
-    return _complement(sums) if kind is MeasureKind.DRASTIC else sums
-
-
-def _subset_sums(kind: MeasureKind, tables: Sequence[SizeIndexedTable]) -> list[int]:
-    """The measure summed over the size-m subsets of the tables' union, per m.
-
-    Facts of different relations never conflict, so consistent-subset
-    counts (drastic) and summed repair counts (repair count) convolve over
-    relations.  Repair cost takes the table of a single relation.
-    """
-    if kind is MeasureKind.R:
-        (table,) = tables
-        return [sum(t * c for t, c in enumerate(row)) for row in table.counts]
-    return _flip(kind, reduce(_convolve, (_flip(kind, t.counts) for t in tables), [1]))
 
 
 def _complement(counts: Sequence[int]) -> list[int]:
@@ -301,14 +283,25 @@ _DPS = {
 }
 
 
-def _fold(v: Vertex, dps: tuple) -> list:
+def _fold(v: Vertex, dps: tuple, out: Fact | None = None) -> list:
+    """v's table, or with `out` that of v's facts less it; emptied vertices give leaf(0)."""
     leaf, block, join = dps
+    size = v.size - (out is not None)
     if v.is_leaf:
-        return leaf(v.size)
-    children = [_fold(c, dps) for c in v.children]
+        return leaf(size)
+    children = [_fold(c, dps, out if out in c.facts else None) for c in v.children]
     if v.kind is VertexKind.BLOCK:
-        return block(v.size, children)
+        return block(size, children)
     return reduce(join, children)
+
+
+def _unit_sums(unit: Vertex, kind: MeasureKind, out: Fact | None = None) -> list[int]:
+    """Per-size sums of the unit less `out`, as they combine over units: consistent
+    subset counts (drastic), summed repair counts (mc) or summed costs (r)."""
+    counts = _fold(unit, _DPS[kind], out)
+    if kind is MeasureKind.R:
+        return [sum((j - k) * c for k, c in enumerate(row)) for j, row in enumerate(counts)]
+    return counts
 
 
 def _root_table(tree: BlockTree, kind: MeasureKind) -> SizeIndexedTable:
@@ -318,11 +311,6 @@ def _root_table(tree: BlockTree, kind: MeasureKind) -> SizeIndexedTable:
     elif kind is MeasureKind.R:
         counts = [tuple(reversed(row)) for row in counts]  # cost = size - kept
     return SizeIndexedTable(tree.root.size, kind, tuple(counts))
-
-
-def _tree_sums(tree: BlockTree, kind: MeasureKind) -> list[int]:
-    """The measure summed over the size-j subsets of the tree's facts, per j."""
-    return _subset_sums(kind, [_root_table(tree, kind)])
 
 
 def _containing_fact(full: SizeIndexedTable, without: SizeIndexedTable) -> SizeIndexedTable:
@@ -374,33 +362,25 @@ def r_tables(tree: BlockTree, fact: Fact | None = None) -> SizeIndexedTable:
 # Units, multi-relation combination and the exact assembly
 
 
-def _lhs_chains(fds: FDSet, relations) -> dict[str, tuple]:
-    """The lhs chain of each relation; refuses a relation without one."""
-    chains = {}
-    for relation in relations:
+def _lhs_chains(db: Database, fds: FDSet, relations) -> tuple[dict, dict]:
+    """Of the relations that hold facts: the lhs chain of each that has one,
+    and the tractability class of each that has none."""
+    chains, others = {}, {}
+    for relation in filter(db.facts_of, relations):
         cls = classify_relation(fds.per_relation(relation))
-        if cls.kind is not TractabilityKind.LHS_CHAIN:
-            raise IntractableExactError(
-                f"relation {relation!r} has no lhs chain up to equivalence "
-                f"({cls.kind.value}); exact computation refused: "
-                + IntractableExactError.suggestion
-            )
-        chains[relation] = cls.chain
-    return chains
+        if cls.kind is TractabilityKind.LHS_CHAIN:
+            chains[relation] = cls.chain
+        else:
+            others[relation] = cls.kind
+    return chains, others
 
 
-def _units(db: Database, chains: dict[str, tuple]) -> list[BlockTree]:
-    """One tree per unit: each level-1 block of a relation, or a whole relation without FDs."""
+def _units(db: Database, chains: dict[str, tuple]) -> list[Vertex]:
+    """One tree per relation; its units are the level-1 blocks, or the root if it has no FDs."""
     units = []
     for relation, chain in chains.items():
-        tree = build_tree(db.facts_of(relation), chain, db.schema)
-        if chain:
-            units += [
-                BlockTree(relation, chain, Vertex(VertexKind.ROOT, 0, block.facts, [block]), db.schema)
-                for block in tree.root.children
-            ]
-        elif tree.root.facts:
-            units.append(tree)
+        root = build_tree(db.facts_of(relation), chain, db.schema).root
+        units += root.children if chain else [root]
     return units
 
 
@@ -425,7 +405,12 @@ def multi_relation_combine(
             f"measure {kind.value!r} is additive over relations; "
             "no table combination applies"
         )
-    sums = _subset_sums(kind, tables)
+    # Facts of different relations never conflict, so consistent-subset
+    # counts (drastic) and summed repair counts (repair count) convolve.
+    if kind is MeasureKind.MC:
+        sums = reduce(_convolve, (t.counts for t in tables), [1])
+    else:
+        sums = _complement(reduce(_convolve, (_complement(t.counts) for t in tables), [1]))
     n = len(sums) - 1
     return [Fraction(s, comb(n, m)) for m, s in enumerate(sums)]
 
@@ -441,9 +426,8 @@ def _unit_weights(
     if kind is MeasureKind.R:
         rests = {u: [1] for u in needed}
     else:
-        flips = [_flip(kind, sums) for sums in fulls]
-        prefix = list(accumulate(flips, _convolve, initial=[1]))
-        suffix = list(accumulate(reversed(flips), _convolve, initial=[1]))[::-1]
+        prefix = list(accumulate(fulls, _convolve, initial=[1]))
+        suffix = list(accumulate(reversed(fulls), _convolve, initial=[1]))[::-1]
         rests = {u: _convolve(prefix[u], suffix[u + 1]) for u in needed}
     scales: dict[int, list[int]] = {}
     weights = {}
@@ -467,9 +451,9 @@ def shapley_all(
 
     The pair-count and problematic-fact measures work for every FD set and
     read one conflict graph.  The drastic and repair-count measures need an
-    lhs chain (up to equivalence) for every relation carrying FDs; repair
-    cost needs one for the relations of `facts` only.  Each unit is
-    tabulated once; each fact costs one DP pass on its unit without it.
+    lhs chain (up to equivalence) for every relation holding facts; repair
+    cost needs one for the relations of `facts` only.  Each unit is folded
+    once; each fact costs one more fold of its unit with the fact left out.
     """
     facts = list(facts)
     for fact in facts:
@@ -488,47 +472,57 @@ def shapley_all(
         if kind is MeasureKind.R
         else db.schema.relation_names
     )
-    units = _units(db, _lhs_chains(fds, relations))
-    unit_of = {f: u for u, tree in enumerate(units) for f in tree.root.facts}
-    fulls = [_tree_sums(tree, kind) for tree in units]
+    chains, others = _lhs_chains(db, fds, relations)
+    if others:
+        relation, cls = next(iter(others.items()))
+        raise IntractableExactError(
+            f"relation {relation!r} has no lhs chain up to equivalence "
+            f"({cls.value}); exact computation refused: " + IntractableExactError.suggestion
+        )
+    units = _units(db, chains)
+    unit_of = {f: u for u, unit in enumerate(units) for f in unit.facts}
+    fulls = [_unit_sums(unit, kind) for unit in units]
     weights = _unit_weights(kind, fulls, {unit_of[f] for f in facts})
     values = []
     for fact in facts:
         u = unit_of[fact]
-        tree, full = units[u], fulls[u]
-        base = build_tree([g for g in tree.root.facts if g != fact], tree.chain, tree.schema)
-        without = _tree_sums(base, kind) + [0]
+        full = fulls[u]
+        without = _unit_sums(units[u], kind, fact) + [0]
         # The with-fact identity on sums: S + f over size-j subsets S of
         # B - f sums to full[j+1] - without[j+1].
         gain = (full[j + 1] - without[j + 1] - without[j] for j in range(len(without) - 1))
         scale, denominator = weights[u]
-        values.append(Fraction(sum(w * g for w, g in zip(scale, gain)), denominator))
+        value = Fraction(sum(w * g for w, g in zip(scale, gain)), denominator)
+        # Drastic gains in consistent counts are minus the measure's gains.
+        values.append(-value if kind is MeasureKind.DRASTIC else value)
     return values
 
 
 def measure(kind: MeasureKind, db: Database, fds: FDSet, budget: int | None = None) -> int:
     """Exact measure value of the whole database.
 
-    Drastic, repair count and repair cost are read off the unit tables when
-    every relation has an lhs chain up to equivalence.  Otherwise, and for
-    the pair and problematic-fact counts, the coalition evaluator runs; the
-    node budget bounds only its exponential searches.
+    Drastic, repair count and repair cost combine over relations: the unit
+    tables give the total of every relation with an lhs chain up to
+    equivalence, and the coalition evaluator that of the facts of the
+    others (of all relations for the pair and problematic-fact counts).
+    The node budget bounds only the evaluator's exponential searches.
     """
     check_budget(budget)
     _check_schemas(db, fds)
     if kind in (MeasureKind.DRASTIC, MeasureKind.MC, MeasureKind.R):
-        try:
-            chains = _lhs_chains(fds, db.schema.relation_names)
-        except IntractableExactError:
-            pass
-        else:
-            # Entry |B| of a unit's sums is the measure of the unit itself.
-            tops = [_tree_sums(tree, kind)[-1] for tree in _units(db, chains)]
-            if kind is MeasureKind.DRASTIC:
-                return int(any(tops))
-            return prod(tops) if kind is MeasureKind.MC else sum(tops)
-    engine = CoalitionEvaluator(db, fds, budget=budget)
-    return engine.value(kind, engine.full_mask)
+        chains, others = _lhs_chains(db, fds, db.schema.relation_names)
+    else:
+        chains, others = {}, db.schema.relation_names
+    # Entry |B| of a unit's sums is its consistency (drastic), repair count
+    # or repair cost; the database is consistent iff every part is.
+    tops = [_unit_sums(unit, kind)[-1] for unit in _units(db, chains)]
+    if others:
+        engine = CoalitionEvaluator(db, fds, budget=budget)
+        value = engine.value(kind, engine.mask_of(f.id for r in others for f in db.facts_of(r)))
+        tops.append(1 - value if kind is MeasureKind.DRASTIC else value)
+    if kind is MeasureKind.DRASTIC:
+        return 1 - prod(tops)
+    return prod(tops) if kind is MeasureKind.MC else sum(tops)
 
 
 def shapley_exact(db: Database, fds: FDSet, fact: Fact, kind: MeasureKind) -> Fraction:

@@ -34,6 +34,7 @@ from incshap import (
     shapley_r,
 )
 from incshap.errors import InputError
+from incshap.exact import _DPS, _fold, _lhs_chains, _units
 from incshap.fd_analysis import TractabilityKind
 
 from conftest import (
@@ -610,3 +611,98 @@ class TestMeasureFromTables:
         assert measure(MeasureKind.MC, db, fds) == 2147483648
         assert measure(MeasureKind.R, db, fds) == 90
         assert measure(MeasureKind.DRASTIC, db, fds) == 1
+
+
+def _mixed_instance(s_rows):
+    """R(A,B,C,D) under A -> B, AC -> D with 80 facts in one level-1 block
+    (2^21 repairs, cost 60), beside S(A,B) under A <-> B holding `s_rows`."""
+    schema = Schema.from_dict({"R": ["A", "B", "C", "D"], "S": ["A", "B"]})
+    fds = FDSet(
+        schema,
+        (
+            FD("R", frozenset({"A"}), frozenset({"B"})),
+            FD("R", frozenset({"A", "C"}), frozenset({"D"})),
+            FD("S", frozenset({"A"}), frozenset({"B"})),
+            FD("S", frozenset({"B"}), frozenset({"A"})),
+        ),
+    )
+    rows = [("a", f"b{b}", f"c{c}", f"d{d}") for b in range(2) for c in range(20) for d in range(2)]
+    return Database.build(schema, {"R": rows, "S": s_rows}), fds
+
+
+class TestMixedRelations:
+    """A large chain relation beside a relation without an lhs chain."""
+
+    def test_empty_relation_without_chain(self):
+        """An empty relation is consistent with one repair: it needs no chain."""
+        db, fds = _mixed_instance([])
+        first_two = db.facts_of("R")[:2]
+        assert shapley_all(db, fds, first_two, MeasureKind.MC) == [Fraction(2097151, 80)] * 2
+        assert measure(MeasureKind.MC, db, fds, budget=1000) == 2097152
+        assert measure(MeasureKind.DRASTIC, db, fds, budget=0) == 1
+        assert measure(MeasureKind.R, db, fds, budget=0) == 60
+
+    def test_measure_combines_per_relation(self):
+        """Only S's three facts reach the evaluator, so a small budget suffices."""
+        db, fds = _mixed_instance([("x", "1"), ("x", "2"), ("y", "2")])
+        assert measure(MeasureKind.DRASTIC, db, fds, budget=1000) == 1
+        assert measure(MeasureKind.MC, db, fds, budget=1000) == 4194304
+        assert measure(MeasureKind.R, db, fds, budget=1000) == 61
+        with pytest.raises(IntractableExactError, match="relation 'S' has no lhs chain"):
+            shapley_all(db, fds, db.facts_of("R")[:1], MeasureKind.MC)
+
+
+class TestLeaveOneOutFold:
+    """Folding a unit with f left out equals folding a tree built without f."""
+
+    KINDS = (MeasureKind.DRASTIC, MeasureKind.MC, MeasureKind.R)
+
+    @staticmethod
+    def _emptied(unit, fact):
+        """What f's removal empties: its leaf, an inner subblock, its unit."""
+        kinds, v = set(), unit
+        while True:
+            if v.size == 1:
+                kinds.add("unit" if v is unit else "leaf" if v.is_leaf else v.kind.value)
+            if v.is_leaf:
+                return kinds
+            v = next(c for c in v.children if fact in c.facts)
+
+    def test_equals_fold_of_a_fresh_tree(self):
+        rng = random.Random(9229)
+        emptied = set()
+        for trial in range(60):
+            db, fds = TestShapleyAll.MAKERS[trial % len(TestShapleyAll.MAKERS)](rng)
+            chains, others = _lhs_chains(db, fds, db.schema.relation_names)
+            assert not others
+            for relation, chain in chains.items():
+                for unit in _units(db, {relation: chain}):
+                    for fact in unit.facts:
+                        emptied |= self._emptied(unit, fact)
+                        rest = [g for g in unit.facts if g != fact]
+                        fresh = build_tree(rest, chain, db.schema).root
+                        for kind in self.KINDS:
+                            assert _fold(unit, _DPS[kind], fact) == _fold(fresh, _DPS[kind])
+        assert {"leaf", "subblock", "unit"} <= emptied, emptied
+
+    def test_one_tree_per_relation(self, monkeypatch):
+        """`shapley_all` and `measure` build one tree per relation holding facts."""
+        calls = []
+
+        def counting_build_tree(*args):
+            calls.append(args)
+            return build_tree(*args)
+
+        monkeypatch.setattr("incshap.exact.build_tree", counting_build_tree)
+        rng = random.Random(4334)
+        makers = TestShapleyAll.MAKERS + (lambda rng: _mixed_instance([]),)
+        for trial in range(20):
+            db, fds = makers[trial % len(makers)](rng)
+            holding = sum(1 for r in db.schema.relation_names if db.facts_of(r))
+            for kind in self.KINDS:
+                calls.clear()
+                shapley_all(db, fds, db.facts, kind)
+                assert len(calls) == holding, (trial, kind)
+                calls.clear()
+                measure(kind, db, fds)
+                assert len(calls) == holding, (trial, kind)
