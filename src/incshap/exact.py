@@ -22,7 +22,8 @@ facts in different level-1 blocks (groups on the first lhs) never
 conflict.  One block/subblock tree is built per relation, and its units are
 vertices of it: each level-1 block, or the root of a relation without FDs;
 each is a union of conflict components.  Every unit is folded once, and
-each fact f costs one more fold of its unit B with f left out.  With
+each fact f costs one more fold of its unit B with f left out, which
+refolds at most the vertices on f's path (see shapes below).  With
 gain_B[j] the measure summed over the size-j subsets S of B - f as
 I(S + f) - I(S) within B, an integer:
 
@@ -65,6 +66,17 @@ without[j+1], where full is the fold of B and without its fold with f left
 out: f's leaf and every vertex on its path count one fact fewer.  The
 identity holds entry by entry for all three tables (for consistent counts
 too, since C(n, j+1) - C(n-1, j+1) = C(n-1, j)).
+
+Folds share tables by tree shape, through one memo per command.  A
+vertex's table depends only on its size if it is a leaf, and otherwise on
+its DP (block, or subblock/root join), its size and its children's tables.
+The block DPs sum or convolve over the children and the join convolves,
+all in exact integers, so the order of the children does not change a
+table: a shape is keyed by (DP, size, sorted child shape ids), interned to
+a small int and folded once.  Each vertex's full shape is kept, so a fold
+with f left out re-interns only f's path; off-path children, isomorphic
+siblings and units, and other facts' paths of the same shape hit the
+memo, and facts whose unit less f has one shape share one value.
 
 The same full tables give the whole-database measure (`measure`): the
 database is consistent iff every unit is, its repair count is the product
@@ -135,13 +147,13 @@ class SizeIndexedTable:
     counts: tuple
 
     def expectation(self, j: int) -> Fraction:
-        return self.expectations()[j]
+        total = self.counts[j]
+        if self.kind is MeasureKind.R:
+            total = sum(t * c for t, c in enumerate(total))
+        return Fraction(total, comb(self.size, j))
 
     def expectations(self) -> list[Fraction]:
-        sums = self.counts
-        if self.kind is MeasureKind.R:
-            sums = [sum(t * c for t, c in enumerate(row)) for row in self.counts]
-        return [Fraction(s, comb(self.size, j)) for j, s in enumerate(sums)]
+        return [self.expectation(j) for j in range(len(self.counts))]
 
 
 def _complement(counts: Sequence[int]) -> list[int]:
@@ -283,29 +295,70 @@ _DPS = {
 }
 
 
+class _Shapes:
+    """One command's memo of tree shapes for one measure's DPs.
+
+    A shape is a leaf's size, or a vertex's DP (block, or subblock/root
+    join), size and sorted child shapes; each is interned to a small int
+    and its table computed once.  Full folds are also kept per vertex, so a
+    fold with a fact left out re-interns only the vertices on its path.
+    Tables are shared by every vertex of their shape: no caller mutates one.
+    """
+
+    def __init__(self, dps: tuple):
+        self.dps = dps
+        self.ids: dict[tuple, int] = {}
+        self.tables: list = []
+        self.full: dict[Vertex, int] = {}
+
+    def shape(self, v: Vertex, out: Fact | None = None) -> int:
+        """The shape id of v, or with `out` that of v's facts less it."""
+        if out is None and v in self.full:
+            return self.full[v]
+        size = v.size - (out is not None)
+        if v.is_leaf or not size:
+            key = (None, size, ())  # an emptied vertex folds to leaf(0)
+        else:
+            children = (self.shape(c, out if out in c.facts else None) for c in v.children)
+            key = (v.kind is VertexKind.BLOCK, size, tuple(sorted(children)))
+        sid = self.ids.get(key)
+        if sid is None:
+            sid = self.ids[key] = len(self.tables)
+            self.tables.append(self._table(key))
+        if out is None:
+            self.full[v] = sid
+        return sid
+
+    def _table(self, key: tuple) -> list:
+        leaf, block, join = self.dps
+        is_block, size, children = key
+        if is_block is None:
+            return leaf(size)
+        tables = [self.tables[c] for c in children]
+        return block(size, tables) if is_block else reduce(join, tables)
+
+    def fold(self, v: Vertex, out: Fact | None = None) -> list:
+        return self.tables[self.shape(v, out)]
+
+
 def _fold(v: Vertex, dps: tuple, out: Fact | None = None) -> list:
     """v's table, or with `out` that of v's facts less it; emptied vertices give leaf(0)."""
-    leaf, block, join = dps
-    size = v.size - (out is not None)
-    if v.is_leaf:
-        return leaf(size)
-    children = [_fold(c, dps, out if out in c.facts else None) for c in v.children]
-    if v.kind is VertexKind.BLOCK:
-        return block(size, children)
-    return reduce(join, children)
+    return _Shapes(dps).fold(v, out)
 
 
-def _unit_sums(unit: Vertex, kind: MeasureKind, out: Fact | None = None) -> list[int]:
+def _unit_sums(
+    unit: Vertex, kind: MeasureKind, out: Fact | None = None, shapes: _Shapes | None = None
+) -> list[int]:
     """Per-size sums of the unit less `out`, as they combine over units: consistent
     subset counts (drastic), summed repair counts (mc) or summed costs (r)."""
-    counts = _fold(unit, _DPS[kind], out)
+    counts = (shapes or _Shapes(_DPS[kind])).fold(unit, out)
     if kind is MeasureKind.R:
         return [sum((j - k) * c for k, c in enumerate(row)) for j, row in enumerate(counts)]
     return counts
 
 
-def _root_table(tree: BlockTree, kind: MeasureKind) -> SizeIndexedTable:
-    counts = _fold(tree.root, _DPS[kind])
+def _root_table(tree: BlockTree, kind: MeasureKind, shapes: _Shapes) -> SizeIndexedTable:
+    counts = shapes.fold(tree.root)
     if kind is MeasureKind.DRASTIC:
         counts = _complement(counts)
     elif kind is MeasureKind.R:
@@ -334,13 +387,15 @@ def _containing_fact(full: SizeIndexedTable, without: SizeIndexedTable) -> SizeI
 
 
 def _tables(tree: BlockTree, kind: MeasureKind, fact: Fact | None) -> SizeIndexedTable:
-    table = _root_table(tree, kind)
+    # One memo for both trees: the one with f refolds only f's path.
+    shapes = _Shapes(_DPS[kind])
+    table = _root_table(tree, kind, shapes)
     if fact is None:
         return table
     if fact in tree.root.facts:
         raise InputError(f"external fact {fact.id} is already one of the tree's facts")
     full = build_tree(tree.root.facts + (fact,), tree.chain, tree.schema)
-    return _containing_fact(_root_table(full, kind), table)
+    return _containing_fact(_root_table(full, kind, shapes), table)
 
 
 def drastic_tables(tree: BlockTree, fact: Fact | None = None) -> SizeIndexedTable:
@@ -453,7 +508,8 @@ def shapley_all(
     read one conflict graph.  The drastic and repair-count measures need an
     lhs chain (up to equivalence) for every relation holding facts; repair
     cost needs one for the relations of `facts` only.  Each unit is folded
-    once; each fact costs one more fold of its unit with the fact left out.
+    once; each fact costs one more fold of its unit with the fact left out,
+    which refolds only shapes the command has not met yet.
     """
     facts = list(facts)
     for fact in facts:
@@ -481,20 +537,25 @@ def shapley_all(
         )
     units = _units(db, chains)
     unit_of = {f: u for u, unit in enumerate(units) for f in unit.facts}
-    fulls = [_unit_sums(unit, kind) for unit in units]
+    shapes = _Shapes(_DPS[kind])
+    fulls = [_unit_sums(unit, kind, shapes=shapes) for unit in units]
     weights = _unit_weights(kind, fulls, {unit_of[f] for f in facts})
-    values = []
+    # A value depends only on the fact's unit and the shape of the unit less it.
+    values, by_shape = [], {}
     for fact in facts:
         u = unit_of[fact]
-        full = fulls[u]
-        without = _unit_sums(units[u], kind, fact) + [0]
-        # The with-fact identity on sums: S + f over size-j subsets S of
-        # B - f sums to full[j+1] - without[j+1].
-        gain = (full[j + 1] - without[j + 1] - without[j] for j in range(len(without) - 1))
-        scale, denominator = weights[u]
-        value = Fraction(sum(w * g for w, g in zip(scale, gain)), denominator)
-        # Drastic gains in consistent counts are minus the measure's gains.
-        values.append(-value if kind is MeasureKind.DRASTIC else value)
+        key = (u, shapes.shape(units[u], fact))
+        if key not in by_shape:
+            full = fulls[u]
+            without = _unit_sums(units[u], kind, fact, shapes) + [0]
+            # The with-fact identity on sums: S + f over size-j subsets S of
+            # B - f sums to full[j+1] - without[j+1].
+            gain = (full[j + 1] - without[j + 1] - without[j] for j in range(len(without) - 1))
+            scale, denominator = weights[u]
+            value = Fraction(sum(w * g for w, g in zip(scale, gain)), denominator)
+            # Drastic gains in consistent counts are minus the measure's gains.
+            by_shape[key] = -value if kind is MeasureKind.DRASTIC else value
+        values.append(by_shape[key])
     return values
 
 
@@ -515,7 +576,8 @@ def measure(kind: MeasureKind, db: Database, fds: FDSet, budget: int | None = No
         chains, others = {}, db.schema.relation_names
     # Entry |B| of a unit's sums is its consistency (drastic), repair count
     # or repair cost; the database is consistent iff every part is.
-    tops = [_unit_sums(unit, kind)[-1] for unit in _units(db, chains)]
+    shapes = _Shapes(_DPS.get(kind))  # mi and p have no units to fold
+    tops = [_unit_sums(unit, kind, shapes=shapes)[-1] for unit in _units(db, chains)]
     if others:
         engine = CoalitionEvaluator(db, fds, budget=budget)
         value = engine.value(kind, engine.mask_of(f.id for r in others for f in db.facts_of(r)))

@@ -1,5 +1,6 @@
 """Exact Shapley computation: closed forms, chain DPs, and combination."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -34,7 +35,8 @@ from incshap import (
     shapley_r,
 )
 from incshap.errors import InputError
-from incshap.exact import _DPS, _fold, _lhs_chains, _units
+from incshap.block_tree import VertexKind
+from incshap.exact import _DPS, _Shapes, _fold, _lhs_chains, _units
 from incshap.fd_analysis import TractabilityKind
 
 from conftest import (
@@ -612,6 +614,29 @@ class TestMeasureFromTables:
         assert measure(MeasureKind.R, db, fds) == 90
         assert measure(MeasureKind.DRASTIC, db, fds) == 1
 
+    def test_large_component_efficiency(self):
+        """Every fact of the 120-fact component: values sum to I(D) - I(empty)."""
+        db, fds = _one_block_instance(30)
+        for kind, total in ((MeasureKind.DRASTIC, 1), (MeasureKind.MC, 2**31 - 1), (MeasureKind.R, 90)):
+            empty = 1 if kind is MeasureKind.MC else 0
+            assert measure(kind, db, fds) - empty == total
+            assert sum(shapley_all(db, fds, db.facts, kind)) == total, kind
+
+
+def _one_block_instance(k):
+    """R(A,B,C,D) under A -> B, AC -> D: the 4k facts ("a", b in 2, c in k, d in 2)
+    form one level-1 block and one conflict component."""
+    schema = Schema.from_dict({"R": ["A", "B", "C", "D"]})
+    fds = FDSet(
+        schema,
+        (
+            FD("R", frozenset({"A"}), frozenset({"B"})),
+            FD("R", frozenset({"A", "C"}), frozenset({"D"})),
+        ),
+    )
+    rows = [("a", f"b{b}", f"c{c}", f"d{d}") for b in range(2) for c in range(k) for d in range(2)]
+    return Database.build(schema, {"R": rows}), fds
+
 
 def _mixed_instance(s_rows):
     """R(A,B,C,D) under A -> B, AC -> D with 80 facts in one level-1 block
@@ -706,3 +731,60 @@ class TestLeaveOneOutFold:
                 calls.clear()
                 measure(kind, db, fds)
                 assert len(calls) == holding, (trial, kind)
+
+
+def _plain_fold(v, dps, out=None):
+    """The chain DPs bottom-up with no memo: the reference for the shape memo."""
+    leaf, block, join = dps
+    size = v.size - (out is not None)
+    if v.is_leaf:
+        return leaf(size)
+    children = [_plain_fold(c, dps, out if out in c.facts else None) for c in v.children]
+    return block(size, children) if v.kind is VertexKind.BLOCK else functools.reduce(join, children)
+
+
+class TestShapeMemo:
+    """One memo of tree shapes serves every unit and leave-one-out fold of a command."""
+
+    KINDS = TestLeaveOneOutFold.KINDS
+
+    def test_shared_memo_equals_fold_of_a_fresh_tree(self):
+        """One memo per instance and measure, across all its units and facts:
+        a key that merged two different shapes would return a wrong table."""
+        rng = random.Random(9339)
+        for trial in range(60):
+            db, fds = TestShapleyAll.MAKERS[trial % len(TestShapleyAll.MAKERS)](rng)
+            chains, _ = _lhs_chains(db, fds, db.schema.relation_names)
+            units = [(unit, chain) for r, chain in chains.items() for unit in _units(db, {r: chain})]
+            for kind in self.KINDS:
+                shapes = _Shapes(_DPS[kind])
+                for unit, chain in units:
+                    assert shapes.fold(unit) == _plain_fold(unit, _DPS[kind])
+                    for fact in unit.facts:
+                        rest = [g for g in unit.facts if g != fact]
+                        fresh = build_tree(rest, chain, db.schema).root
+                        expected = _fold(fresh, _DPS[kind])
+                        assert expected == _plain_fold(fresh, _DPS[kind])
+                        assert shapes.fold(unit, fact) == expected, (trial, kind, fact.id)
+
+    def test_dp_calls_grow_linearly_in_the_block(self, monkeypatch):
+        """Every leave-one-out fold of ("a", b in 2, c in k, d in 2) has one
+        shape, so r's block and join calls grow with k, not with k squared."""
+        leaf, block, join = _DPS[MeasureKind.R]
+        calls = []
+
+        def counting(dp):
+            def counted(*args):
+                calls.append(dp)
+                return dp(*args)
+
+            return counted
+
+        monkeypatch.setitem(_DPS, MeasureKind.R, (leaf, counting(block), counting(join)))
+        counts = {}
+        for k in (8, 16):
+            db, fds = _one_block_instance(k)
+            calls.clear()
+            shapley_all(db, fds, db.facts, MeasureKind.R)
+            counts[k] = len(calls)
+        assert counts[16] <= 2 * counts[8], counts
