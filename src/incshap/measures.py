@@ -7,7 +7,8 @@ evaluator computes any measure on any fact subset, whatever the FD class,
 for the sampler, the oracle, and the whole-database measures that
 ``exact.measure`` does not read off the lhs-chain DP tables.  Its
 vertex-cover and repair-counting searches are exponential in the worst
-case and honor an optional node budget.
+case and honor an optional node budget that counts memo misses only: vertex
+covers are memoized per induced subgraph, repair counts per search state.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ class CoalitionEvaluator:
     """Evaluates any measure on arbitrary fact subsets encoded as bitmasks.
 
     Bit i corresponds to ``facts[i]`` (database load order across relations).
-    Vertex-cover and repair-count results are memoized per induced-subgraph
-    mask, so repeated coalition queries (oracles, samplers) stay cheap.
+    Vertex covers are memoized per induced-subgraph mask and repair counts
+    per (candidates, excluded) search state, so repeated coalition queries
+    (oracles, samplers) stay cheap; a memo hit costs no node of the budget.
     """
 
     def __init__(self, db: Database, fds: FDSet, budget: int | None = None):
@@ -74,6 +76,12 @@ class CoalitionEvaluator:
             low = mask & -mask
             yield low.bit_length() - 1
             mask ^= low
+
+    def _spend(self, nodes: list, search: str) -> None:
+        """Count one search node against the budget; ``nodes`` is one search's counter."""
+        nodes[0] += 1
+        if self.budget is not None and nodes[0] > self.budget:
+            raise BudgetExceededError(f"{search} exceeded the node budget of {self.budget}")
 
     def value(self, kind: MeasureKind, mask: int) -> int:
         if kind is MeasureKind.DRASTIC:
@@ -111,8 +119,10 @@ class CoalitionEvaluator:
             while frontier:
                 comp |= frontier
                 grown = 0
-                for i in self._bits(frontier):
-                    grown |= self.adj[i] & remaining
+                while frontier:
+                    low = frontier & -frontier
+                    grown |= self.adj[low.bit_length() - 1] & remaining
+                    frontier ^= low
                 frontier = grown & ~comp
             yield comp
             remaining &= ~comp
@@ -126,14 +136,14 @@ class CoalitionEvaluator:
             return self._vc_memo[mask]
         if _nodes is None:
             _nodes = [0]
-        _nodes[0] += 1
-        if self.budget is not None and _nodes[0] > self.budget:
-            raise BudgetExceededError(
-                f"vertex-cover search exceeded the node budget of {self.budget}"
-            )
+        self._spend(_nodes, "vertex-cover search")
         best_i, best_deg = -1, -1
         pendant = -1
-        for i in self._bits(mask):
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
             deg = (self.adj[i] & mask).bit_count()
             if deg == 1 and pendant < 0:
                 pendant = i
@@ -157,14 +167,28 @@ class CoalitionEvaluator:
         """Number of maximal independent sets; 1 for the empty set."""
         result = 1
         for comp in self._components(mask):
-            result *= self._mis_count(comp)
+            result *= self._count_mis(comp, 0, [0])
         return result
 
-    def _mis_count(self, comp: int) -> int:
-        count = self._mis_memo.get(comp)
-        if count is None:
-            count = sum(1 for _ in self._maximal_independent_sets(comp))
-            self._mis_memo[comp] = count
+    def _count_mis(self, candidates: int, excluded: int, nodes: list) -> int:
+        """Number of repairs ``_extend_mis`` would yield from this state, without yielding them."""
+        if not candidates:
+            return 0 if excluded else 1
+        key = candidates | excluded << len(self.facts)
+        count = self._mis_memo.get(key)
+        if count is not None:
+            return count
+        self._spend(nodes, "repair enumeration")
+        branch = self._pivot_branches(candidates, excluded)
+        count = 0
+        while branch:
+            bit = branch & -branch
+            branch ^= bit
+            nonadj = ~self.adj[bit.bit_length() - 1] & ~bit
+            count += self._count_mis(candidates & nonadj, excluded & nonadj, nodes)
+            candidates &= ~bit
+            excluded |= bit
+        self._mis_memo[key] = count
         return count
 
     def component_map(self, mask: int) -> list[int]:
@@ -203,44 +227,54 @@ class CoalitionEvaluator:
             old.append(comp)
             merged |= comp
             rest &= ~comp
-        for j in self._bits(merged):
-            comp_of[j] = merged
+        rest = merged
+        while rest:
+            low = rest & -rest
+            comp_of[low.bit_length() - 1] = merged
+            rest ^= low
         if not old:
             return value
         if kind is MeasureKind.R:
             return value - sum(self._vc(comp) for comp in old) + self._vc(merged)
         for comp in old:
-            value //= self._mis_count(comp)
-        return value * self._mis_count(merged)
+            value //= self._count_mis(comp, 0, [0])
+        return value * self._count_mis(merged, 0, [0])
+
+    def _pivot_branches(self, candidates: int, excluded: int) -> int:
+        """The candidates to branch on: the pivot and its candidate neighbors.
+
+        The pivot is the vertex of candidates | excluded with the most
+        non-neighbors among the candidates; counting and enumeration share it.
+        """
+        adj = self.adj
+        pivot, best = -1, -1
+        rest = candidates | excluded
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            gain = (candidates & ~adj[i] & ~low).bit_count()
+            if gain > best:
+                pivot, best = i, gain
+        return candidates & (adj[pivot] | 1 << pivot)
 
     def _maximal_independent_sets(self, mask: int):
         """Pivoting enumeration (clique search on the implicit complement)."""
-        return self._extend_mis(mask, 0, mask, 0, [0])
+        return self._extend_mis(0, mask, 0, [0])
 
-    def _extend_mis(self, universe: int, current: int, candidates: int, excluded: int, nodes: list):
+    def _extend_mis(self, current: int, candidates: int, excluded: int, nodes: list):
         # A method rather than a nested generator: a closure that refers to
         # itself forms a reference cycle that keeps the evaluator and its
         # memos alive until the cyclic garbage collector runs.
-        nodes[0] += 1
-        if self.budget is not None and nodes[0] > self.budget:
-            raise BudgetExceededError(
-                f"repair enumeration exceeded the node budget of {self.budget}"
-            )
+        self._spend(nodes, "repair enumeration")
         if not candidates and not excluded:
             yield current
             return
-        adj = self.adj
-        pivot = -1
-        best = -1
-        for i in self._bits(candidates | excluded):
-            gain = (candidates & ~adj[i] & ~(1 << i)).bit_count()
-            if gain > best:
-                pivot, best = i, gain
-        for i in self._bits(candidates & (adj[pivot] | 1 << pivot)):
+        for i in self._bits(self._pivot_branches(candidates, excluded)):
             bit = 1 << i
-            nonadj = universe & ~adj[i] & ~bit
+            nonadj = ~self.adj[i] & ~bit
             yield from self._extend_mis(
-                universe, current | bit, candidates & nonadj, excluded & nonadj, nodes
+                current | bit, candidates & nonadj, excluded & nonadj, nodes
             )
             candidates &= ~bit
             excluded |= bit

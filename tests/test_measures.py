@@ -21,7 +21,7 @@ from incshap import (
 )
 from incshap.errors import InputError
 
-from conftest import random_arbitrary_fds, random_rows
+from conftest import random_arbitrary_fds, random_instance, random_rows
 
 
 def test_trains_measures(trains):
@@ -178,3 +178,58 @@ def test_evaluator_freed_without_cycle_collection(trains):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def _count_test_instances():
+    """Seeded instances of 4 to 16 facts under arbitrary FDs, with the submasks to check.
+
+    Instances of at most 9 facts give every submask; larger ones a seeded sample.
+    """
+    rng = random.Random(34)
+    for _ in range(30):
+        db, fds = random_instance(rng, chain=False, n_min=4, n_max=16)
+        n = len(db)
+        masks = range(1 << n) if n <= 9 else [rng.getrandbits(n) for _ in range(150)]
+        yield db, fds, masks
+
+
+def test_repair_count_equals_enumeration():
+    """The memoized counter agrees with the enumerating generator on every component.
+
+    One evaluator serves all submasks of an instance, so later counts hit
+    memo entries that earlier components left behind.
+    """
+    for db, fds, masks in _count_test_instances():
+        engine = CoalitionEvaluator(db, fds)
+        for mask in masks:
+            expected = 1
+            for comp in engine._components(mask):
+                expected *= len(list(engine._maximal_independent_sets(comp)))
+            assert engine.repair_count(mask) == expected
+        # enumerate_repairs walks the whole relation at once, not per component.
+        assert engine.repair_count(engine.full_mask) == len(enumerate_repairs(db, fds).repairs)
+
+
+def test_repair_count_fits_the_enumeration_budget():
+    """A count never needs more nodes than the enumeration of the same component.
+
+    Every node of the budget is a memo miss, and every memo miss is a node.
+    """
+    for db, fds, masks in _count_test_instances():
+        engine = CoalitionEvaluator(db, fds)
+        components = {comp for mask in list(masks)[:40] for comp in engine._components(mask)}
+        for comp in sorted(components):
+            nodes = [0]
+            expected = sum(1 for _ in engine._extend_mis(0, comp, 0, nodes))
+            bounded = CoalitionEvaluator(db, fds, budget=nodes[0])
+            assert bounded.repair_count(comp) == expected
+            spent = [0]
+            assert bounded._count_mis(comp, 0, spent) == expected and spent == [0]
+            fresh = CoalitionEvaluator(db, fds)
+            fresh._count_mis(comp, 0, spent)
+            assert spent[0] == len(fresh._mis_memo) <= nodes[0]
+            if comp.bit_count() > 1:  # a connected component with an edge
+                with pytest.raises(
+                    BudgetExceededError, match="^repair enumeration exceeded the node budget of 0$"
+                ):
+                    CoalitionEvaluator(db, fds, budget=0).repair_count(comp)
