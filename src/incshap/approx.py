@@ -11,8 +11,9 @@ One permutation per sample index serves every requested fact: the walk
 adds facts in permutation order, carries the value of the current prefix,
 and reads a fact's marginal off two consecutive prefixes, value(prefix + f)
 - value(prefix).  Each prefix is evaluated at most once, from the previous
-one (``CoalitionEvaluator.value_with``), and the walk stops after the last
-requested fact.  A fact's marginals are those of the one-fact estimator, so
+one and the added fact's region, the part of the prefix in that fact's
+conflict component (``CoalitionEvaluator.value_with``), and the walk stops
+after the last requested fact.  A fact's marginals are those of the one-fact estimator, so
 estimating facts together or one at a time gives identical values.
 """
 
@@ -157,7 +158,6 @@ def estimate_all(
     if engine is None:
         engine = CoalitionEvaluator(db, fds)
     selected = {engine.bit_of[fact.id] for fact in facts}
-    incremental_components = kind in (MeasureKind.R, MeasureKind.MC)
     order_template = list(range(n))
     bound = marginal_bound(kind, n)
     totals = dict.fromkeys(selected, 0)
@@ -167,7 +167,6 @@ def estimate_all(
         rng.shuffle(order)
         mask = 0
         value = None  # value of mask, once the first selected fact is reached
-        comp_of = None
         pending = len(selected)
         for i in order:
             if value is None and i not in selected:
@@ -176,9 +175,7 @@ def estimate_all(
             try:
                 if value is None:
                     value = engine.value(kind, mask)
-                    if incremental_components:
-                        comp_of = engine.component_map(mask)
-                extended = engine.value_with(kind, mask, value, i, comp_of)
+                extended = engine.value_with(kind, mask, value, i)
             except BudgetExceededError as exc:
                 raise BudgetExceededError(
                     f"measure evaluation aborted on a sampled coalition of size "

@@ -9,6 +9,17 @@ for the sampler, the oracle, and the whole-database measures that
 vertex-cover and repair-counting searches are exponential in the worst
 case and honor an optional node budget that counts memo misses only: vertex
 covers are memoized per induced subgraph, repair counts per search state.
+
+The sampler grows a coalition one fact i at a time.  Facts outside i's
+home, its conflict component in the whole database, never change the r or
+mc marginal, so a step evaluates only i's region, the coalition within the
+home, and the grown region with i.  Both are memoized as whole masks: cover
+size and repair count of a disconnected mask are the sum and product over
+its components, so these entries agree with every other key (a count key
+with excluded facts is at least 2**n and never collides).  A minimum
+cover of the grown region either takes i or takes every neighbour of i,
+so an r miss searches only the region less i's neighbours.  Each miss on a
+grown region is one budget node.
 """
 
 from __future__ import annotations
@@ -62,6 +73,10 @@ class CoalitionEvaluator:
                 gj = self.bit_of[graph.facts[j].id]
                 self.adj[gi] |= 1 << gj
                 self.adj[gj] |= 1 << gi
+        self.home = [0] * len(self.facts)
+        for comp in self._components(self.full_mask):
+            for j in self._bits(comp):
+                self.home[j] = comp
         self._vc_memo: dict[int, int] = {}
         self._mis_memo: dict[int, int] = {}
 
@@ -131,6 +146,15 @@ class CoalitionEvaluator:
         """Minimum vertex cover of the induced conflict graph."""
         return sum(self._vc(comp) for comp in self._components(mask))
 
+    def _cost(self, mask: int, nodes: list) -> int:
+        """``repair_cost`` memoized per mask, its searches spending ``nodes``."""
+        cost = self._vc_memo.get(mask)
+        if cost is None:
+            cost = self._vc_memo[mask] = sum(
+                self._vc(comp, nodes) for comp in self._components(mask)
+            )
+        return cost
+
     def _vc(self, mask: int, _nodes: list | None = None) -> int:
         if mask in self._vc_memo:
             return self._vc_memo[mask]
@@ -191,23 +215,15 @@ class CoalitionEvaluator:
         self._mis_memo[key] = count
         return count
 
-    def component_map(self, mask: int) -> list[int]:
-        """Entry j is the component of j in the subgraph induced by mask, for j in mask."""
-        comp_of = [0] * len(self.facts)
-        for comp in self._components(mask):
-            for j in self._bits(comp):
-                comp_of[j] = comp
-        return comp_of
-
-    def value_with(
-        self, kind: MeasureKind, mask: int, value: int, i: int, comp_of: list[int] | None = None
-    ) -> int:
+    def value_with(self, kind: MeasureKind, mask: int, value: int, i: int) -> int:
         """Value of ``mask | 1 << i``, given ``value``, the value of ``mask`` (i not in mask).
 
-        For r and mc, ``comp_of`` must be ``component_map(mask)`` or a map
-        kept up to date by earlier calls; it is updated in place to the map
-        of ``mask | 1 << i``.  Only the components touching i are searched,
-        with the same memos and per-component node budget as ``value``.
+        For r and mc only i's region, ``mask & home[i]``, can change.  The
+        region and ``grown``, the region with i, are memoized as whole masks.
+        A minimum cover of ``grown`` takes i or every neighbour of i, so an r
+        miss on ``grown`` searches only the region less i's neighbours; an mc
+        miss counts the repairs of the component i joins.  A miss on ``grown``
+        is one node of a per-step counter that its r sub-searches share.
         """
         touching = self.adj[i] & mask
         if kind is MeasureKind.DRASTIC:
@@ -219,26 +235,26 @@ class CoalitionEvaluator:
             return value + (1 if touching else 0) + newly
         if kind is not MeasureKind.R and kind is not MeasureKind.MC:
             raise ValueError(f"unknown measure kind {kind!r}")
-        merged = 1 << i
-        old = []
-        rest = touching
-        while rest:
-            comp = comp_of[(rest & -rest).bit_length() - 1]
-            old.append(comp)
-            merged |= comp
-            rest &= ~comp
-        rest = merged
-        while rest:
-            low = rest & -rest
-            comp_of[low.bit_length() - 1] = merged
-            rest ^= low
-        if not old:
+        if not touching:
             return value
+        region = mask & self.home[i]
+        grown = region | 1 << i
         if kind is MeasureKind.R:
-            return value - sum(self._vc(comp) for comp in old) + self._vc(merged)
-        for comp in old:
-            value //= self._count_mis(comp, 0, [0])
-        return value * self._count_mis(merged, 0, [0])
+            nodes = [0]
+            before = self._cost(region, nodes)
+            after = self._vc_memo.get(grown)
+            if after is None:
+                self._spend(nodes, "vertex-cover search")
+                rest = self._cost(region & ~self.adj[i], nodes)
+                after = self._vc_memo[grown] = min(before + 1, touching.bit_count() + rest)
+            return value - before + after
+        before = self._mis_memo.get(region)
+        if before is None:
+            before = self._mis_memo[region] = self.repair_count(region)
+        after = self._mis_memo.get(grown)
+        if after is None:
+            after = self._mis_memo[grown] = self.repair_count(grown)
+        return value // before * after
 
     def _pivot_branches(self, candidates: int, excluded: int) -> int:
         """The candidates to branch on: the pivot and its candidate neighbors.

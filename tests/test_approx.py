@@ -250,11 +250,59 @@ def test_value_with_matches_value_along_random_orders(kind):
             for i in order[:start]:
                 mask |= 1 << i
             value = engine.value(kind, mask)
-            keeps_map = kind in (MeasureKind.R, MeasureKind.MC)
-            comp_of = engine.component_map(mask) if keeps_map else None
             for i in order[start:]:
-                value = engine.value_with(kind, mask, value, i, comp_of)
+                value = engine.value_with(kind, mask, value, i)
                 mask |= 1 << i
                 assert value == engine.value(kind, mask)
-                if keeps_map:
-                    assert comp_of == engine.component_map(mask)
+
+
+class _RecordingEvaluator(CoalitionEvaluator):
+    """An evaluator that records the largest count any one node counter reaches."""
+
+    most = 0
+
+    def _spend(self, nodes, search):
+        super()._spend(nodes, search)
+        self.most = max(self.most, nodes[0])
+
+
+def _clustered_hard_instance(clusters: int = 3):
+    """Clusters of 12 facts under A -> C, B -> C, no conflict across clusters."""
+    rng = random.Random(0)
+    rows = []
+    for k in range(clusters):
+        combos = [
+            (f"a{k}_{i}", f"b{k}_{j}", f"c{c}") for i in range(3) for j in range(3) for c in range(3)
+        ]
+        rows += rng.sample(combos, 12)
+    schema = Schema.from_dict({"R": ["A", "B", "C"]})
+    fds = FDSet(
+        schema,
+        (
+            FD("R", frozenset({"A"}), frozenset({"C"})),
+            FD("R", frozenset({"B"}), frozenset({"C"})),
+        ),
+    )
+    return Database.build(schema, {"R": rows}), fds
+
+
+def test_sampled_r_spends_a_node_per_memo_miss(trains):
+    """The largest single node count of an unbudgeted walk is the least budget that finishes it."""
+    params = ApproxParams(0.1, 0.05, seed=0)
+    for db, fds in (trains, _clustered_hard_instance()):
+        facts = list(db.facts)
+        recording = _RecordingEvaluator(db, fds)
+        unbounded = estimate_all(db, fds, facts, MeasureKind.R, params, engine=recording)
+        most = recording.most
+        assert most >= 1
+        bounded = CoalitionEvaluator(db, fds, budget=most)
+        assert estimate_all(db, fds, facts, MeasureKind.R, params, engine=bounded) == unbounded
+        with pytest.raises(
+            BudgetExceededError,
+            match=r"^measure evaluation aborted on a sampled coalition of size \d+: "
+            r"vertex-cover search exceeded the node budget of \d+$",
+        ):
+            estimate_all(
+                db, fds, facts, MeasureKind.R, params,
+                engine=CoalitionEvaluator(db, fds, budget=most - 1),
+            )

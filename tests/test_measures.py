@@ -233,3 +233,48 @@ def test_repair_count_fits_the_enumeration_budget():
                     BudgetExceededError, match="^repair enumeration exceeded the node budget of 0$"
                 ):
                     CoalitionEvaluator(db, fds, budget=0).repair_count(comp)
+
+
+def _region_test_instances():
+    """Seeded instances of at most 10 facts: arbitrary FDs, then A -> C, B -> C."""
+    rng = random.Random(512)
+    schema = Schema.from_dict({"R": ["A", "B", "C"]})
+    hard = FDSet(
+        schema,
+        (
+            FD("R", frozenset({"A"}), frozenset({"C"})),
+            FD("R", frozenset({"B"}), frozenset({"C"})),
+        ),
+    )
+    instances = [random_instance(rng, chain=False, n_min=6, n_max=10) for _ in range(6)]
+    instances += [(Database.build(schema, {"R": random_rows(rng, n)}), hard) for n in (8, 10)]
+    return rng, instances
+
+
+def test_region_step_equals_direct_evaluation():
+    """``value_with`` on r and mc matches a direct evaluation of the grown mask.
+
+    Every (mask, i not in mask) is walked twice on one evaluator, from a
+    cold memo and then warm; the expected values come from a separate
+    evaluator, so only region steps fill the memos under test.  Afterwards
+    the warmed evaluator still agrees with a fresh one on random masks.
+    """
+    rng, instances = _region_test_instances()
+    for db, fds in instances:
+        n = len(db)
+        reference = CoalitionEvaluator(db, fds)
+        steps = [(mask, i) for mask in range(1 << n) for i in range(n) if not mask >> i & 1]
+        rng.shuffle(steps)
+        engine = CoalitionEvaluator(db, fds)
+        for kind in (MeasureKind.R, MeasureKind.MC):
+            expected = [reference.value(kind, mask) for mask in range(1 << n)]
+            for _ in range(2):
+                for mask, i in steps:
+                    got = engine.value_with(kind, mask, expected[mask], i)
+                    assert got == expected[mask | 1 << i]
+        fresh = CoalitionEvaluator(db, fds)
+        for mask in [rng.getrandbits(n) for _ in range(40)] + [engine.full_mask]:
+            for kind in MeasureKind:
+                assert engine.value(kind, mask) == fresh.value(kind, mask)
+            assert engine.repair_cost(mask) == fresh.repair_cost(mask)
+            assert engine.repair_count(mask) == fresh.repair_count(mask)
