@@ -29,6 +29,7 @@ from .errors import (
     UnsupportedModeError,
 )
 from .exact import (
+    Game,
     SizeIndexedTable,
     drastic_tables,
     mc_tables,

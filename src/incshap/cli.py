@@ -25,10 +25,10 @@ from .errors import (
     OracleLimitError,
     UnsupportedModeError,
 )
-from .exact import measure, shapley_all
+from .exact import Game, measure
 from .fd_analysis import TractabilityKind, classify
 from .io import load_instance, load_manifest
-from .measures import CoalitionEvaluator, MeasureKind, check_budget
+from .measures import MeasureKind, check_budget
 from .oracle import OracleLimits, shapley_bruteforce_perms, shapley_bruteforce_subsets
 from .report import build_report, decimal_str, render_report
 
@@ -97,6 +97,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--samples", type=int, default=None)
         p.add_argument("--budget", type=_budget, default=None)
+        p.set_defaults(form="subsets", **vars(OracleLimits()))
 
     p_shapley = sub.add_parser("shapley", help="per-fact attribution report")
     add_shapley_args(p_shapley)
@@ -111,8 +112,9 @@ def _build_parser() -> _Parser:
     group.add_argument("--all", action="store_true")
     add_measure_arg(p_oracle)
     p_oracle.add_argument("--form", choices=["subsets", "perms"], default="subsets")
-    p_oracle.add_argument("--max-facts-subsets", type=int, default=18)
-    p_oracle.add_argument("--max-facts-perms", type=int, default=8)
+    p_oracle.add_argument("--max-facts-subsets", type=int)
+    p_oracle.add_argument("--max-facts-perms", type=int)
+    p_oracle.set_defaults(method="oracle", **vars(OracleLimits()))
     return parser
 
 
@@ -142,23 +144,23 @@ def _approx_params(args) -> ApproxParams | None:
 
 
 def _selected_facts(db, args):
-    if args.all:
-        return list(db.facts)
-    return [db.get(args.fact)]
+    return list(db.facts) if args.all else [db.get(args.fact)]
 
 
 def _compute_values(db, fds, facts, kind, args, params):
-    """(fact id, value) pairs, and estimates by fact id when sampling with ``params``."""
+    """The command's game, (fact id, value) pairs, and estimates by fact id
+    when sampling with ``params``.  The oracle runs unbudgeted."""
     ids = [fact.id for fact in facts]
+    game = Game(db, fds, kind, budget=None if args.method == "oracle" else args.budget)
     if args.method == "exact":
-        return list(zip(ids, shapley_all(db, fds, facts, kind))), {}
+        return game, list(zip(ids, game.values(facts))), {}
     if args.method == "oracle":
-        engine = CoalitionEvaluator(db, fds)
-        values = [shapley_bruteforce_subsets(db, fds, f, kind, engine=engine) for f in facts]
-        return list(zip(ids, values)), {}
-    engine = CoalitionEvaluator(db, fds, budget=args.budget)
-    estimates = dict(zip(ids, estimate_all(db, fds, facts, kind, params, engine=engine)))
-    return [(fact_id, est.value) for fact_id, est in estimates.items()], estimates
+        limits = OracleLimits(args.max_facts_subsets, args.max_facts_perms)
+        oracle = shapley_bruteforce_perms if args.form == "perms" else shapley_bruteforce_subsets
+        values = [oracle(db, fds, f, kind, limits=limits, engine=game.evaluator) for f in facts]
+        return game, list(zip(ids, values)), {}
+    estimates = dict(zip(ids, estimate_all(db, fds, facts, kind, params, engine=game.evaluator)))
+    return game, [(fact_id, est.value) for fact_id, est in estimates.items()], estimates
 
 
 def _approx_meta(params, kind, n):
@@ -172,8 +174,7 @@ def _approx_meta(params, kind, n):
 
 
 def _cmd_classify(args, out):
-    manifest = load_manifest(args.manifest)
-    db, fds = load_instance(manifest)
+    db, fds = load_instance(load_manifest(args.manifest))
     classes = classify(fds)
     for relation in fds.schema.relation_names:
         cls = classes[relation]
@@ -185,24 +186,22 @@ def _cmd_classify(args, out):
 
 
 def _cmd_measure(args, out):
-    manifest = load_manifest(args.manifest)
-    db, fds = load_instance(manifest)
+    db, fds = load_instance(load_manifest(args.manifest))
     print(measure(MeasureKind(args.measure), db, fds, budget=args.budget), file=out)
     return 0
 
 
 def _cmd_shapley(args, out):
-    manifest = load_manifest(args.manifest)
-    db, fds = load_instance(manifest)
+    db, fds = load_instance(load_manifest(args.manifest))
     kind = MeasureKind(args.measure)
     facts = _selected_facts(db, args)
     params = _approx_params(args)
-    values, estimates = _compute_values(db, fds, facts, kind, args, params)
+    game, values, estimates = _compute_values(db, fds, facts, kind, args, params)
     report = build_report(
         kind,
         args.method,
         values,
-        total_measure=measure(kind, db, fds, budget=args.budget),
+        total_measure=game.total(),
         complete=args.all,
         estimates=estimates or None,
         approx_meta=_approx_meta(params, kind, len(db)) if params is not None else None,
@@ -214,37 +213,12 @@ def _cmd_shapley(args, out):
 def _cmd_rank(args, out):
     if args.top < 1:
         raise InputError(f"--top must be at least 1, got {args.top}")
-    manifest = load_manifest(args.manifest)
-    db, fds = load_instance(manifest)
+    db, fds = load_instance(load_manifest(args.manifest))
     kind = MeasureKind(args.measure)
-    values, _ = _compute_values(db, fds, list(db.facts), kind, args, _approx_params(args))
+    _, values, _ = _compute_values(db, fds, list(db.facts), kind, args, _approx_params(args))
     ranked = sorted(values, key=lambda item: (-item[1], item[0]))
     for fact_id, value in ranked[: args.top]:
         print(f"{fact_id}\t{decimal_str(Fraction(value))}", file=out)
-    return 0
-
-
-def _cmd_oracle(args, out):
-    manifest = load_manifest(args.manifest)
-    db, fds = load_instance(manifest)
-    kind = MeasureKind(args.measure)
-    limits = OracleLimits(args.max_facts_subsets, args.max_facts_perms)
-    compute = (
-        shapley_bruteforce_subsets if args.form == "subsets" else shapley_bruteforce_perms
-    )
-    engine = CoalitionEvaluator(db, fds)
-    values = [
-        (fact.id, compute(db, fds, fact, kind, limits=limits, engine=engine))
-        for fact in _selected_facts(db, args)
-    ]
-    report = build_report(
-        kind,
-        "oracle",
-        values,
-        total_measure=measure(kind, db, fds),
-        complete=args.all,
-    )
-    print(render_report(report), file=out)
     return 0
 
 
@@ -253,7 +227,7 @@ _COMMANDS = {
     "measure": _cmd_measure,
     "shapley": _cmd_shapley,
     "rank": _cmd_rank,
-    "oracle": _cmd_oracle,
+    "oracle": _cmd_shapley,
 }
 
 

@@ -1,8 +1,9 @@
 """Exact Shapley values for the five measures: closed forms and chain DPs.
 
 Everything here is exact rational arithmetic (stdlib fractions); no floats.
-`shapley_all` computes every requested fact in one pass; `shapley_exact`
-is its one-fact case.
+One `Game` per command gives the facts' values and the whole-database
+measure from one shared state; `shapley_all` and `measure` are a fresh
+game's values and total, and `shapley_exact` is the one-fact case.
 
 The pair-count and problematic-fact measures are direct closed forms in
 conflict degree, read off one adjacency per relation (facts of other
@@ -78,32 +79,30 @@ with f left out re-interns only f's path; off-path children, isomorphic
 siblings and units, and other facts' paths of the same shape hit the
 memo, and facts whose unit less f has one shape share one value.
 
-The same full tables give the whole-database measure (`measure`): the
-database is consistent iff every unit is, its repair count is the product
-of the units' and its repair cost the sum of the units'.  The facts of
-relations without an lhs chain go to the coalition evaluator, whose
-searches a node budget bounds, and combine with the units the same way.
+The whole-database measure reads the same state.  The pair count is the
+conflict graph's edge count, the problematic-fact count its number of facts
+with a partner.  Entry |B| of a unit's full sums is its consistency
+(drastic), repair count or repair cost: the database is consistent iff
+every unit is, its repair count is the product of the units' and its
+repair cost the sum.  Each relation without an lhs chain goes to the
+game's coalition evaluator, whose searches a node budget bounds, and
+combines with the units the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate
 from math import comb, factorial, prod
 from typing import Sequence
 
 from .block_tree import BlockTree, Vertex, VertexKind, build_tree
-from .errors import InputError, IntractableExactError, SchemaError
+from .errors import BudgetExceededError, InputError, IntractableExactError, SchemaError
 from .fd_analysis import TractabilityKind, classify_relation
 from .measures import CoalitionEvaluator, MeasureKind, check_budget
 from .relational import Database, Fact, FDSet, build_conflict_graph
-
-
-def _require_member(db: Database, fact: Fact) -> None:
-    if fact not in db:
-        raise InputError(f"fact {fact.id} is not in the database")
 
 
 # ---------------------------------------------------------------------------
@@ -341,22 +340,6 @@ class _Shapes:
         return self.tables[self.shape(v, out)]
 
 
-def _fold(v: Vertex, dps: tuple, out: Fact | None = None) -> list:
-    """v's table, or with `out` that of v's facts less it; emptied vertices give leaf(0)."""
-    return _Shapes(dps).fold(v, out)
-
-
-def _unit_sums(
-    unit: Vertex, kind: MeasureKind, out: Fact | None = None, shapes: _Shapes | None = None
-) -> list[int]:
-    """Per-size sums of the unit less `out`, as they combine over units: consistent
-    subset counts (drastic), summed repair counts (mc) or summed costs (r)."""
-    counts = (shapes or _Shapes(_DPS[kind])).fold(unit, out)
-    if kind is MeasureKind.R:
-        return [sum((j - k) * c for k, c in enumerate(row)) for j, row in enumerate(counts)]
-    return counts
-
-
 def _root_table(tree: BlockTree, kind: MeasureKind, shapes: _Shapes) -> SizeIndexedTable:
     counts = shapes.fold(tree.root)
     if kind is MeasureKind.DRASTIC:
@@ -417,33 +400,6 @@ def r_tables(tree: BlockTree, fact: Fact | None = None) -> SizeIndexedTable:
 # Units, multi-relation combination and the exact assembly
 
 
-def _lhs_chains(db: Database, fds: FDSet, relations) -> tuple[dict, dict]:
-    """Of the relations that hold facts: the lhs chain of each that has one,
-    and the tractability class of each that has none."""
-    chains, others = {}, {}
-    for relation in filter(db.facts_of, relations):
-        cls = classify_relation(fds.per_relation(relation))
-        if cls.kind is TractabilityKind.LHS_CHAIN:
-            chains[relation] = cls.chain
-        else:
-            others[relation] = cls.kind
-    return chains, others
-
-
-def _units(db: Database, chains: dict[str, tuple]) -> list[Vertex]:
-    """One tree per relation; its units are the level-1 blocks, or the root if it has no FDs."""
-    units = []
-    for relation, chain in chains.items():
-        root = build_tree(db.facts_of(relation), chain, db.schema).root
-        units += root.children if chain else [root]
-    return units
-
-
-def _check_schemas(db: Database, fds: FDSet) -> None:
-    if db.schema != fds.schema:
-        raise SchemaError("database and FD set are over different schemas")
-
-
 def multi_relation_combine(
     kind: MeasureKind, tables: Sequence[SizeIndexedTable]
 ) -> list[Fraction]:
@@ -499,92 +455,156 @@ def _unit_weights(
     return weights
 
 
+class Game:
+    """One command's game: Shapley values of facts under `kind`, and the
+    measure of the whole database, read off one shared state.
+
+    Each piece is built on first use and at most once: the conflict graph,
+    the tractability classes, one block tree per lhs-chain relation with its
+    units and their full sums in one shape memo, and the coalition
+    evaluator, which `budget` bounds.  A sampler or the oracle that walks
+    coalitions on `evaluator` leaves memos that the total then hits.
+    """
+
+    def __init__(self, db: Database, fds: FDSet, kind: MeasureKind, budget: int | None = None):
+        check_budget(budget)
+        if not isinstance(kind, MeasureKind):
+            raise InputError(f"unknown measure kind {kind!r}")
+        if db.schema != fds.schema:
+            raise SchemaError("database and FD set are over different schemas")
+        self.db, self.fds, self.kind, self.budget = db, fds, kind, budget
+        self._shapes = _Shapes(_DPS[kind]) if kind in _DPS else None
+        self._units: dict[str, list[Vertex]] = {}
+        self._fulls: dict[Vertex, list[int]] = {}
+
+    @cached_property
+    def evaluator(self) -> CoalitionEvaluator:
+        """The coalition evaluator, bounded by the game's node budget."""
+        return CoalitionEvaluator(self.db, self.fds, budget=self.budget)
+
+    @cached_property
+    def graphs(self) -> dict:
+        """The conflict graph of every relation: the evaluator's, once it exists."""
+        if "evaluator" in self.__dict__:
+            return self.evaluator.graphs
+        return build_conflict_graph(self.db, self.fds)
+
+    @cached_property
+    def classes(self) -> tuple[dict, dict]:
+        """Of the relations that hold facts: the lhs chain of each that has one,
+        and the tractability class of each that has none."""
+        holding = filter(self.db.facts_of, self.db.schema.relation_names)
+        classes = {r: classify_relation(self.fds.per_relation(r)) for r in holding}
+        chains = {r: c.chain for r, c in classes.items() if c.kind is TractabilityKind.LHS_CHAIN}
+        return chains, {r: c.kind for r, c in classes.items() if r not in chains}
+
+    def units(self, relation: str) -> list[Vertex]:
+        """The units of an lhs-chain relation: the level-1 blocks of its one
+        tree, or the root if it has no FDs; built and folded on first use."""
+        if relation not in self._units:
+            chain = self.classes[0][relation]
+            root = build_tree(self.db.facts_of(relation), chain, self.db.schema).root
+            units = self._units[relation] = root.children if chain else [root]
+            self._fulls.update((unit, self._sums(unit)) for unit in units)
+        return self._units[relation]
+
+    def _sums(self, unit: Vertex, out: Fact | None = None) -> list[int]:
+        """Per-size sums of the unit less `out`, as they combine over units: consistent
+        subset counts (drastic), summed repair counts (mc) or summed costs (r)."""
+        counts = self._shapes.fold(unit, out)
+        if self.kind is MeasureKind.R:
+            return [sum((j - k) * c for k, c in enumerate(row)) for j, row in enumerate(counts)]
+        return counts
+
+    def values(self, facts: Sequence[Fact]) -> list[Fraction]:
+        """Exact attributions of `facts`, in order; refuses intractable classes.
+
+        The pair-count and problematic-fact measures work for every FD set
+        and read the conflict graph.  The drastic and repair-count measures
+        need an lhs chain (up to equivalence) for every relation holding
+        facts; repair cost needs one for the relations of `facts` only.  Each
+        fact costs one more fold of its unit with the fact left out, which
+        refolds only shapes the game has not met yet.
+        """
+        facts, kind = list(facts), self.kind
+        for fact in facts:
+            if fact not in self.db:
+                raise InputError(f"fact {fact.id} is not in the database")
+        if not facts:
+            return []
+        if kind is MeasureKind.MI or kind is MeasureKind.P:
+            closed = _mi_value if kind is MeasureKind.MI else _p_value
+            return [closed(self.graphs[f.relation].adjacency, f.index) for f in facts]
+        chains, others = self.classes
+        relations = (
+            dict.fromkeys(f.relation for f in facts) if kind is MeasureKind.R else chains | others
+        )
+        refused = next((r for r in relations if r in others), None)
+        if refused is not None:
+            raise IntractableExactError(
+                f"relation {refused!r} has no lhs chain up to equivalence "
+                f"({others[refused].value}); exact computation refused: "
+                + IntractableExactError.suggestion
+            )
+        units = [unit for r in relations for unit in self.units(r)]
+        unit_of = {f: u for u, unit in enumerate(units) for f in unit.facts}
+        fulls = [self._fulls[unit] for unit in units]
+        weights = _unit_weights(kind, fulls, {unit_of[f] for f in facts})
+        # A value depends only on the fact's unit and the shape of the unit less it.
+        values, by_shape = [], {}
+        for fact in facts:
+            u = unit_of[fact]
+            key = (u, self._shapes.shape(units[u], fact))
+            if key not in by_shape:
+                full = fulls[u]
+                without = self._sums(units[u], fact) + [0]
+                # The with-fact identity on sums: S + f over size-j subsets S of
+                # B - f sums to full[j+1] - without[j+1].
+                gain = (full[j + 1] - without[j + 1] - without[j] for j in range(len(without) - 1))
+                scale, denominator = weights[u]
+                value = Fraction(sum(w * g for w, g in zip(scale, gain)), denominator)
+                # Drastic gains in consistent counts are minus the measure's gains.
+                by_shape[key] = -value if kind is MeasureKind.DRASTIC else value
+            values.append(by_shape[key])
+        return values
+
+    def total(self) -> int:
+        """The measure of the whole database (see the module notes).
+
+        The evaluator measures one relation without an lhs chain at a time,
+        so a refusal names the relation.
+        """
+        kind = self.kind
+        if kind is MeasureKind.MI:
+            return sum(len(g.edges) for g in self.graphs.values())
+        if kind is MeasureKind.P:
+            return sum(1 for g in self.graphs.values() for adj in g.adjacency.values() if adj)
+        chains, others = self.classes
+        tops = [self._fulls[unit][-1] for r in chains for unit in self.units(r)]
+        for relation in others:
+            mask = self.evaluator.mask_of(f.id for f in self.db.facts_of(relation))
+            try:
+                value = self.evaluator.value(kind, mask)
+            except BudgetExceededError as exc:
+                raise BudgetExceededError(
+                    f"whole-database measure of relation {relation!r}: {exc}"
+                ) from exc
+            tops.append(1 - value if kind is MeasureKind.DRASTIC else value)
+        if kind is MeasureKind.DRASTIC:
+            return 1 - prod(tops)
+        return prod(tops) if kind is MeasureKind.MC else sum(tops)
+
+
 def shapley_all(
     db: Database, fds: FDSet, facts: Sequence[Fact], kind: MeasureKind
 ) -> list[Fraction]:
-    """Exact attributions of `facts` under `kind`, in order; refuses intractable classes.
-
-    The pair-count and problematic-fact measures work for every FD set and
-    read one conflict graph.  The drastic and repair-count measures need an
-    lhs chain (up to equivalence) for every relation holding facts; repair
-    cost needs one for the relations of `facts` only.  Each unit is folded
-    once; each fact costs one more fold of its unit with the fact left out,
-    which refolds only shapes the command has not met yet.
-    """
-    facts = list(facts)
-    for fact in facts:
-        _require_member(db, fact)
-    if not isinstance(kind, MeasureKind):
-        raise InputError(f"unknown measure kind {kind!r}")
-    if not facts:
-        return []
-    _check_schemas(db, fds)
-    if kind is MeasureKind.MI or kind is MeasureKind.P:
-        graphs = build_conflict_graph(db, fds)
-        closed = _mi_value if kind is MeasureKind.MI else _p_value
-        return [closed(graphs[f.relation].adjacency, f.index) for f in facts]
-    relations = (
-        dict.fromkeys(f.relation for f in facts)
-        if kind is MeasureKind.R
-        else db.schema.relation_names
-    )
-    chains, others = _lhs_chains(db, fds, relations)
-    if others:
-        relation, cls = next(iter(others.items()))
-        raise IntractableExactError(
-            f"relation {relation!r} has no lhs chain up to equivalence "
-            f"({cls.value}); exact computation refused: " + IntractableExactError.suggestion
-        )
-    units = _units(db, chains)
-    unit_of = {f: u for u, unit in enumerate(units) for f in unit.facts}
-    shapes = _Shapes(_DPS[kind])
-    fulls = [_unit_sums(unit, kind, shapes=shapes) for unit in units]
-    weights = _unit_weights(kind, fulls, {unit_of[f] for f in facts})
-    # A value depends only on the fact's unit and the shape of the unit less it.
-    values, by_shape = [], {}
-    for fact in facts:
-        u = unit_of[fact]
-        key = (u, shapes.shape(units[u], fact))
-        if key not in by_shape:
-            full = fulls[u]
-            without = _unit_sums(units[u], kind, fact, shapes) + [0]
-            # The with-fact identity on sums: S + f over size-j subsets S of
-            # B - f sums to full[j+1] - without[j+1].
-            gain = (full[j + 1] - without[j + 1] - without[j] for j in range(len(without) - 1))
-            scale, denominator = weights[u]
-            value = Fraction(sum(w * g for w, g in zip(scale, gain)), denominator)
-            # Drastic gains in consistent counts are minus the measure's gains.
-            by_shape[key] = -value if kind is MeasureKind.DRASTIC else value
-        values.append(by_shape[key])
-    return values
+    """Exact attributions of `facts` under `kind`, in order (see `Game.values`)."""
+    return Game(db, fds, kind).values(facts)
 
 
 def measure(kind: MeasureKind, db: Database, fds: FDSet, budget: int | None = None) -> int:
-    """Exact measure value of the whole database.
-
-    Drastic, repair count and repair cost combine over relations: the unit
-    tables give the total of every relation with an lhs chain up to
-    equivalence, and the coalition evaluator that of the facts of the
-    others (of all relations for the pair and problematic-fact counts).
-    The node budget bounds only the evaluator's exponential searches.
-    """
-    check_budget(budget)
-    _check_schemas(db, fds)
-    if kind in (MeasureKind.DRASTIC, MeasureKind.MC, MeasureKind.R):
-        chains, others = _lhs_chains(db, fds, db.schema.relation_names)
-    else:
-        chains, others = {}, db.schema.relation_names
-    # Entry |B| of a unit's sums is its consistency (drastic), repair count
-    # or repair cost; the database is consistent iff every part is.
-    shapes = _Shapes(_DPS.get(kind))  # mi and p have no units to fold
-    tops = [_unit_sums(unit, kind, shapes=shapes)[-1] for unit in _units(db, chains)]
-    if others:
-        engine = CoalitionEvaluator(db, fds, budget=budget)
-        value = engine.value(kind, engine.mask_of(f.id for r in others for f in db.facts_of(r)))
-        tops.append(1 - value if kind is MeasureKind.DRASTIC else value)
-    if kind is MeasureKind.DRASTIC:
-        return 1 - prod(tops)
-    return prod(tops) if kind is MeasureKind.MC else sum(tops)
+    """Exact measure value of the whole database (see `Game.total`)."""
+    return Game(db, fds, kind, budget).total()
 
 
 def shapley_exact(db: Database, fds: FDSet, fact: Fact, kind: MeasureKind) -> Fraction:

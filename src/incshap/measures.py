@@ -4,8 +4,8 @@ For FDs, a fact set is consistent iff it is pairwise consistent, so repairs
 are exactly maximal independent sets of the conflict graph and the
 cardinality-repair cost is its minimum vertex cover.  The coalition
 evaluator computes any measure on any fact subset, whatever the FD class,
-for the sampler, the oracle, and the whole-database measures that
-``exact.measure`` does not read off the lhs-chain DP tables.  Its
+for the sampler, the oracle, and the whole-database measure of the
+relations without an lhs chain (``exact.Game.total``).  Its
 vertex-cover and repair-counting searches are exponential in the worst
 case and honor an optional node budget that counts memo misses only: vertex
 covers are memoized per induced subgraph, repair counts per search state.

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import incshap
+import incshap.exact
 from incshap.cli import run_command
+from incshap.measures import CoalitionEvaluator
 
 from conftest import DATA_DIR
 
@@ -31,6 +34,22 @@ def write_matching_manifest(tmp_path: Path) -> str:
     (tmp_path / "r.csv").write_text("A,B\na,1\na,2\nb,2\n")
     (tmp_path / "deps.fds").write_text("R: A -> B\nR: B -> A\n")
     manifest = {"schema": {"R": ["A", "B"]}, "data": {"R": "r.csv"}, "fds": "deps.fds"}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    return str(path)
+
+
+def write_clustered_manifest(tmp_path: Path) -> str:
+    """120 facts in 10 clusters under A -> C, B -> C: no lhs chain."""
+    rng = random.Random(0)
+    rows = []
+    for k in range(10):
+        combos = [(f"a{k}_{i}", f"b{k}_{j}", f"c{c}") for i in range(3) for j in range(3)
+                  for c in range(3)]
+        rows += rng.sample(combos, 12)
+    (tmp_path / "r.csv").write_text("A,B,C\n" + "".join(",".join(r) + "\n" for r in rows))
+    (tmp_path / "r.fds").write_text("R: A -> C\nR: B -> C\n")
+    manifest = {"schema": {"R": ["A", "B", "C"]}, "data": {"R": "r.csv"}, "fds": "r.fds"}
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
     return str(path)
@@ -129,6 +148,25 @@ def test_shapley_method_oracle_matches_exact():
     assert exact_report["facts"] == oracle_report["facts"]
 
 
+def test_rank_method_oracle_matches_exact():
+    argv = ["--manifest", TRAINS, "rank", "--measure", "mc", "--top", "3"]
+    code, exact_out, _ = run(argv)
+    assert code == 0 and len(exact_out.splitlines()) == 3
+    assert run(argv + ["--method", "oracle"])[:2] == (0, exact_out)
+
+
+def test_oracle_forms_and_limits(tmp_path):
+    """The oracle subcommand honours --form and its size limits."""
+    manifest = write_matching_manifest(tmp_path)
+    for m in ("d", "mi", "p", "r", "mc"):
+        argv = ["--manifest", manifest, "oracle", "--measure", m, "--all"]
+        code, subsets_out, _ = run(argv)
+        assert code == 0
+        assert run(argv + ["--form", "perms", "--max-facts-perms", "3"])[:2] == (0, subsets_out)
+        code, out, _ = run(argv + ["--form", "perms", "--max-facts-perms", "2"])
+        assert code == 2 and json.loads(out)["error"] == "size_limit"
+
+
 def test_seed_env_fallback(monkeypatch):
     args = ["--manifest", TRAINS, "shapley", "--measure", "d", "--all",
             "--method", "approx", "--eps", "0.3", "--delta", "0.3"]
@@ -140,13 +178,12 @@ def test_seed_env_fallback(monkeypatch):
 
 
 def test_oracle_subcommand():
-    code, out, _ = run(
-        ["--manifest", TRAINS, "oracle", "--measure", "mc", "--fact", "Trains:8",
-         "--form", "perms", "--max-facts-perms", "9"]
-    )
+    argv = ["--manifest", TRAINS, "oracle", "--measure", "mc", "--fact", "Trains:8"]
+    code, out, _ = run(argv + ["--form", "perms", "--max-facts-perms", "9"])
     assert code == 0
     entry = json.loads(out)["facts"][0]
     assert entry["fact"] == "Trains:8"
+    assert run(argv + ["--form", "subsets"])[:2] == (0, out)
 
 
 def test_rank_order_and_ties():
@@ -247,6 +284,50 @@ def test_approx_budget_refusal_exits_2():
     assert payload["error"] == "budget_exceeded"
     assert "coalition of size" in payload["message"]
     assert "refused" in err
+
+
+def test_sampler_and_total_share_one_evaluator(tmp_path):
+    """The total hits the memos of the finished walk, so a budget that every
+    sampled step fits also fits the total; a refusal of the total names it."""
+    manifest = write_clustered_manifest(tmp_path)
+    for budget in ("10", "20"):
+        code, out, _ = run(["--manifest", manifest, "shapley", "--measure", "r", "--all",
+                            "--method", "approx", "--budget", budget])
+        assert code == 0
+        report = json.loads(out)
+        assert len(report["facts"]) == 120 and report["total_measure"]
+    code, out, _ = run(["--manifest", manifest, "measure", "--measure", "r", "--budget", "10"])
+    assert code == 2
+    assert json.loads(out)["message"].startswith("whole-database measure of relation 'R': ")
+
+
+def test_one_pass_per_command(tmp_path, monkeypatch):
+    """Values and total share one game: a `shapley --all` command builds at
+    most one tree per relation holding facts and at most one evaluator."""
+    trees, evaluators = [], []
+    build_tree, init = incshap.exact.build_tree, CoalitionEvaluator.__init__
+
+    def counting_build_tree(facts, *args):
+        trees.append(facts[0].relation)
+        return build_tree(facts, *args)
+
+    def counting_init(self, *args, **kwargs):
+        evaluators.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(incshap.exact, "build_tree", counting_build_tree)
+    monkeypatch.setattr(CoalitionEvaluator, "__init__", counting_init)
+    matching = write_matching_manifest(tmp_path)
+    for manifest, m, method in (
+        (TRAINS, "d", "exact"), (TRAINS, "mc", "exact"), (TRAINS, "r", "exact"),
+        (TRAINS, "r", "approx"), (matching, "r", "approx"),
+    ):
+        trees.clear()
+        evaluators.clear()
+        code, _, _ = run(["--manifest", manifest, "shapley", "--measure", m, "--all",
+                          "--method", method])
+        assert code == 0
+        assert len(trees) == len(set(trees)) and len(evaluators) <= 1, (manifest, m, method)
 
 
 def test_budget_leaves_chain_measures_alone():

@@ -34,9 +34,9 @@ from incshap import (
     shapley_p,
     shapley_r,
 )
-from incshap.errors import InputError
+from incshap.errors import BudgetExceededError, InputError
 from incshap.block_tree import VertexKind
-from incshap.exact import _DPS, _Shapes, _fold, _lhs_chains, _units
+from incshap.exact import _DPS, Game, _Shapes
 from incshap.fd_analysis import TractabilityKind
 
 from conftest import (
@@ -584,10 +584,11 @@ class TestMeasureFromTables:
             maker = TestShapleyAll.MAKERS[trial % len(TestShapleyAll.MAKERS)]
             db, fds = maker(rng)
             engine = CoalitionEvaluator(db, fds)
-            for kind in (MeasureKind.DRASTIC, MeasureKind.MC, MeasureKind.R):
+            for kind in MeasureKind:
                 expected = engine.value(kind, engine.full_mask)
                 assert measure(kind, db, fds) == expected
-                # The tables run no search, so no budget can stop them.
+                # The tables and the conflict graph run no search, so no
+                # budget can stop them.
                 assert measure(kind, db, fds, budget=0) == expected
 
     def test_no_chain_falls_back_to_the_evaluator(self, matching_constraint):
@@ -595,6 +596,16 @@ class TestMeasureFromTables:
         engine = CoalitionEvaluator(db, fds)
         for kind in (MeasureKind.DRASTIC, MeasureKind.MC, MeasureKind.R):
             assert measure(kind, db, fds) == engine.value(kind, engine.full_mask)
+
+    def test_budget_refusal_names_the_relation(self, matching_constraint):
+        """A search that runs out of budget says it was the whole-database measure."""
+        db, fds = matching_constraint
+        with pytest.raises(
+            BudgetExceededError,
+            match=r"^whole-database measure of relation 'R': "
+            r"vertex-cover search exceeded the node budget of 1$",
+        ):
+            measure(MeasureKind.R, db, fds, budget=1)
 
     def test_large_component_repair_count(self):
         """120 facts in one conflict component with 2^31 repairs, counted by the DP."""
@@ -698,16 +709,18 @@ class TestLeaveOneOutFold:
         emptied = set()
         for trial in range(60):
             db, fds = TestShapleyAll.MAKERS[trial % len(TestShapleyAll.MAKERS)](rng)
-            chains, others = _lhs_chains(db, fds, db.schema.relation_names)
+            game = Game(db, fds, MeasureKind.DRASTIC)
+            chains, others = game.classes
             assert not others
             for relation, chain in chains.items():
-                for unit in _units(db, {relation: chain}):
+                for unit in game.units(relation):
                     for fact in unit.facts:
                         emptied |= self._emptied(unit, fact)
                         rest = [g for g in unit.facts if g != fact]
                         fresh = build_tree(rest, chain, db.schema).root
                         for kind in self.KINDS:
-                            assert _fold(unit, _DPS[kind], fact) == _fold(fresh, _DPS[kind])
+                            dps = _DPS[kind]
+                            assert _Shapes(dps).fold(unit, fact) == _Shapes(dps).fold(fresh)
         assert {"leaf", "subblock", "unit"} <= emptied, emptied
 
     def test_one_tree_per_relation(self, monkeypatch):
@@ -754,8 +767,9 @@ class TestShapeMemo:
         rng = random.Random(9339)
         for trial in range(60):
             db, fds = TestShapleyAll.MAKERS[trial % len(TestShapleyAll.MAKERS)](rng)
-            chains, _ = _lhs_chains(db, fds, db.schema.relation_names)
-            units = [(unit, chain) for r, chain in chains.items() for unit in _units(db, {r: chain})]
+            game = Game(db, fds, MeasureKind.DRASTIC)
+            chains, _ = game.classes
+            units = [(unit, chain) for r, chain in chains.items() for unit in game.units(r)]
             for kind in self.KINDS:
                 shapes = _Shapes(_DPS[kind])
                 for unit, chain in units:
@@ -763,7 +777,7 @@ class TestShapeMemo:
                     for fact in unit.facts:
                         rest = [g for g in unit.facts if g != fact]
                         fresh = build_tree(rest, chain, db.schema).root
-                        expected = _fold(fresh, _DPS[kind])
+                        expected = _Shapes(_DPS[kind]).fold(fresh)
                         assert expected == _plain_fold(fresh, _DPS[kind])
                         assert shapes.fold(unit, fact) == expected, (trial, kind, fact.id)
 
