@@ -71,6 +71,7 @@ from .measures import (
 )
 from .oracle import (
     OracleLimits,
+    shapley_bruteforce_all,
     shapley_bruteforce_perms,
     shapley_bruteforce_subsets,
 )

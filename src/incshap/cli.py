@@ -29,7 +29,7 @@ from .exact import Game, measure
 from .fd_analysis import TractabilityKind, classify
 from .io import load_instance, load_manifest
 from .measures import MeasureKind, check_budget
-from .oracle import OracleLimits, shapley_bruteforce_perms, shapley_bruteforce_subsets
+from .oracle import OracleLimits, shapley_bruteforce_all
 from .report import build_report, decimal_str, render_report
 
 _REFUSALS = (
@@ -67,7 +67,7 @@ def _build_parser() -> _Parser:
         help="print the block/subblock tree of each chain relation",
     )
 
-    def add_measure_arg(p):
+    def add_measure_arg(p, select_facts=False):
         p.add_argument(
             "--measure",
             required=True,
@@ -75,17 +75,17 @@ def _build_parser() -> _Parser:
             help="d=drastic, mi=violating pairs, p=problematic facts, "
             "r=repair cost, mc=repair count",
         )
+        if select_facts:
+            group = p.add_mutually_exclusive_group(required=True)
+            group.add_argument("--fact", help="fact id, e.g. Trains:0")
+            group.add_argument("--all", action="store_true")
 
     p_measure = sub.add_parser("measure", help="exact measure of the database")
     add_measure_arg(p_measure)
     p_measure.add_argument("--budget", type=_budget, default=None)
 
     def add_shapley_args(p, select_facts=True):
-        add_measure_arg(p)
-        if select_facts:
-            group = p.add_mutually_exclusive_group(required=True)
-            group.add_argument("--fact", help="fact id, e.g. Trains:0")
-            group.add_argument("--all", action="store_true")
+        add_measure_arg(p, select_facts)
         p.add_argument(
             "--method", choices=["exact", "approx", "oracle"], default="exact"
         )
@@ -107,10 +107,7 @@ def _build_parser() -> _Parser:
     p_rank.add_argument("--top", type=int, required=True)
 
     p_oracle = sub.add_parser("oracle", help="brute-force reference values")
-    group = p_oracle.add_mutually_exclusive_group(required=True)
-    group.add_argument("--fact")
-    group.add_argument("--all", action="store_true")
-    add_measure_arg(p_oracle)
+    add_measure_arg(p_oracle, select_facts=True)
     p_oracle.add_argument("--form", choices=["subsets", "perms"], default="subsets")
     p_oracle.add_argument("--max-facts-subsets", type=int)
     p_oracle.add_argument("--max-facts-perms", type=int)
@@ -143,10 +140,6 @@ def _approx_params(args) -> ApproxParams | None:
     )
 
 
-def _selected_facts(db, args):
-    return list(db.facts) if args.all else [db.get(args.fact)]
-
-
 def _compute_values(db, fds, facts, kind, args, params):
     """The command's game, (fact id, value) pairs, and estimates by fact id
     when sampling with ``params``.  The oracle runs unbudgeted."""
@@ -156,8 +149,7 @@ def _compute_values(db, fds, facts, kind, args, params):
         return game, list(zip(ids, game.values(facts))), {}
     if args.method == "oracle":
         limits = OracleLimits(args.max_facts_subsets, args.max_facts_perms)
-        oracle = shapley_bruteforce_perms if args.form == "perms" else shapley_bruteforce_subsets
-        values = [oracle(db, fds, f, kind, limits=limits, engine=game.evaluator) for f in facts]
+        values = shapley_bruteforce_all(db, fds, facts, kind, args.form, limits, game.evaluator)
         return game, list(zip(ids, values)), {}
     estimates = dict(zip(ids, estimate_all(db, fds, facts, kind, params, engine=game.evaluator)))
     return game, [(fact_id, est.value) for fact_id, est in estimates.items()], estimates
@@ -194,7 +186,7 @@ def _cmd_measure(args, out):
 def _cmd_shapley(args, out):
     db, fds = load_instance(load_manifest(args.manifest))
     kind = MeasureKind(args.measure)
-    facts = _selected_facts(db, args)
+    facts = list(db.facts) if args.all else [db.get(args.fact)]
     params = _approx_params(args)
     game, values, estimates = _compute_values(db, fds, facts, kind, args, params)
     report = build_report(

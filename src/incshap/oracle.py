@@ -1,13 +1,15 @@
 """Normative brute-force Shapley computation for small instances.
 
-Two independent routes: the weighted sum over all coalitions, and the
-average marginal over all permutations.  Both are exact and agree
-algebraically; the test suite uses them as the ground truth for every
-other algorithm in the package.
+Two exact, algebraically equal routes are the ground truth for every other
+algorithm: the weighted sum over all coalitions and the average marginal
+over all permutations.  A call is one pass that evaluates each coalition or
+permutation once for all requested facts, and only through
+``CoalitionEvaluator.value``, never the sampler's ``value_with``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -31,9 +33,25 @@ class OracleLimits:
 DEFAULT_LIMITS = OracleLimits()
 
 
-def _prepare(db, fds, fact, limit, limit_name, engine):
-    if fact not in db:
-        raise InputError(f"fact {fact.id} is not in the database")
+def shapley_bruteforce_all(
+    db: Database, fds: FDSet, facts: Sequence[Fact], kind: MeasureKind, form: str = "subsets",
+    limits: OracleLimits = DEFAULT_LIMITS, engine: CoalitionEvaluator | None = None,
+) -> list[Fraction]:
+    """Exact values of ``facts``, in order.  Subsets: with w(m) = m!(n-1-m)!, each
+    coalition T counts w(|T|-1)·v(T) for the facts in T and -w(|T|)·v(T) for the
+    others, summed by size.  Perms: each walk carries the prefix value from the
+    first requested fact to the last.  A prebuilt ``engine`` shares its memos."""
+    if form == "subsets":
+        limit, limit_name = limits.max_facts_subsets, "subset-enumeration"
+    elif form == "perms":
+        limit, limit_name = limits.max_facts_perms, "permutation-enumeration"
+    else:
+        raise InputError(f"oracle form must be 'subsets' or 'perms', got {form!r}")
+    for fact in facts:
+        if fact not in db:
+            raise InputError(f"fact {fact.id} is not in the database")
+    if not facts:
+        return []
     n = len(db)
     if n > limit:
         raise OracleLimitError(
@@ -41,65 +59,51 @@ def _prepare(db, fds, fact, limit, limit_name, engine):
         )
     if engine is None:
         engine = CoalitionEvaluator(db, fds)
-    return n, engine
+    totals = {engine.bit_of[fact.id]: 0 for fact in facts}
+    if form == "subsets":
+        by_size = [0] * (n + 1)  # Σ v(T) over the coalitions T of each size
+        inside = {i: [0] * (n + 1) for i in totals}  # the same over T containing i
+        for mask in range(1 << n):
+            value = engine.value(kind, mask)
+            if value:
+                m = mask.bit_count()
+                by_size[m] += value
+                for i, row in inside.items():
+                    if mask >> i & 1:
+                        row[m] += value
+        w = [factorial(m) * factorial(n - m - 1) for m in range(n)] + [0]
+        for i, row in inside.items():
+            totals[i] = sum(w[m - 1] * row[m] - w[m] * (by_size[m] - row[m]) for m in range(n + 1))
+    else:
+        for perm in permutations(range(n)):
+            mask, prefix, pending = 0, None, len(totals)
+            for i in perm:
+                if prefix is None and i in totals:
+                    prefix = engine.value(kind, mask)
+                mask |= 1 << i
+                if prefix is None:
+                    continue
+                value = engine.value(kind, mask)
+                if i in totals:
+                    totals[i] += value - prefix
+                    pending -= 1
+                    if not pending:
+                        break
+                prefix = value
+    return [Fraction(totals[engine.bit_of[fact.id]], factorial(n)) for fact in facts]
 
 
 def shapley_bruteforce_subsets(
-    db: Database,
-    fds: FDSet,
-    fact: Fact,
-    kind: MeasureKind,
-    limits: OracleLimits = DEFAULT_LIMITS,
-    engine: CoalitionEvaluator | None = None,
+    db: Database, fds: FDSet, fact: Fact, kind: MeasureKind,
+    limits: OracleLimits = DEFAULT_LIMITS, engine: CoalitionEvaluator | None = None,
 ) -> Fraction:
-    """Exact weighted sum over every coalition not containing the fact.
-
-    Coalitions are walked in Gray-code order over the remaining facts, and
-    the per-coalition measure values come from the shared evaluator whose
-    repair-cost/repair-count results are memoized by induced subgraph, so
-    the full 2^(n-1) enumeration stays cheap at the size limit.  Passing a
-    prebuilt `engine` shares those memos across facts and measures.
-    """
-    n, engine = _prepare(
-        db, fds, fact, limits.max_facts_subsets, "subset-enumeration", engine
-    )
-    f_bit = 1 << engine.bit_of[fact.id]
-    others = [i for i in range(n) if (1 << i) != f_bit]
-    total = 0
-    mask = 0
-    weights = [factorial(m) * factorial(n - m - 1) for m in range(n)]
-    for code in range(1 << len(others)):
-        gray = code ^ (code >> 1)
-        if code:
-            flipped = (gray ^ ((code - 1) ^ ((code - 1) >> 1))).bit_length() - 1
-            mask ^= 1 << others[flipped]
-        m = mask.bit_count()
-        diff = engine.value(kind, mask | f_bit) - engine.value(kind, mask)
-        if diff:
-            total += weights[m] * diff
-    return Fraction(total, factorial(n))
+    """Exact weighted sum over every coalition: the one-fact subsets pass."""
+    return shapley_bruteforce_all(db, fds, [fact], kind, "subsets", limits, engine)[0]
 
 
 def shapley_bruteforce_perms(
-    db: Database,
-    fds: FDSet,
-    fact: Fact,
-    kind: MeasureKind,
-    limits: OracleLimits = DEFAULT_LIMITS,
-    engine: CoalitionEvaluator | None = None,
+    db: Database, fds: FDSet, fact: Fact, kind: MeasureKind,
+    limits: OracleLimits = DEFAULT_LIMITS, engine: CoalitionEvaluator | None = None,
 ) -> Fraction:
     """Exact average marginal contribution over all |D|! permutations."""
-    n, engine = _prepare(
-        db, fds, fact, limits.max_facts_perms, "permutation-enumeration", engine
-    )
-    f_bit = 1 << engine.bit_of[fact.id]
-    total = 0
-    for perm in permutations(range(n)):
-        mask = 0
-        for i in perm:
-            bit = 1 << i
-            if bit == f_bit:
-                break
-            mask |= bit
-        total += engine.value(kind, mask | f_bit) - engine.value(kind, mask)
-    return Fraction(total, factorial(n))
+    return shapley_bruteforce_all(db, fds, [fact], kind, "perms", limits, engine)[0]

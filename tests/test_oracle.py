@@ -1,5 +1,7 @@
 """Brute-force oracle: both forms, limits, and self-consistency."""
 
+import io
+import json
 import random
 from fractions import Fraction
 
@@ -14,12 +16,28 @@ from incshap import (
     OracleLimits,
     Schema,
     measure,
+    shapley_bruteforce_all,
     shapley_bruteforce_perms,
     shapley_bruteforce_subsets,
 )
+from incshap.cli import run_command
 from incshap.errors import InputError
 
-from conftest import random_arbitrary_fds, random_rows
+from conftest import DATA_DIR, random_arbitrary_fds, random_rows
+
+
+@pytest.fixture
+def value_calls(monkeypatch):
+    """Counts calls of `CoalitionEvaluator.value` in a one-item list."""
+    calls = [0]
+    value = CoalitionEvaluator.value
+
+    def counting_value(self, kind, mask):
+        calls[0] += 1
+        return value(self, kind, mask)
+
+    monkeypatch.setattr(CoalitionEvaluator, "value", counting_value)
+    return calls
 
 
 def test_mini_values(mini):
@@ -51,6 +69,12 @@ def test_forms_agree_on_random_instances():
         assert shapley_bruteforce_subsets(
             db, fds, fact, kind, engine=engine
         ) == shapley_bruteforce_perms(db, fds, fact, kind, engine=engine)
+        # one pass for a shuffled selection with a repeat equals the per-fact values
+        facts = rng.sample(db.facts, rng.randint(1, len(db))) + [fact]
+        rng.shuffle(facts)
+        expected = [shapley_bruteforce_subsets(db, fds, f, kind, engine=engine) for f in facts]
+        for form in ("subsets", "perms"):
+            assert shapley_bruteforce_all(db, fds, facts, kind, form, engine=engine) == expected
 
 
 def test_efficiency_of_oracle_values():
@@ -69,7 +93,7 @@ def test_efficiency_of_oracle_values():
             assert total == measure(kind, db, fds) - offset
 
 
-def test_size_limits():
+def test_size_limits(value_calls):
     schema = Schema.from_dict({"R": ["A", "B", "C"]})
     rng = random.Random(810)
     db = Database.build(schema, {"R": random_rows(rng, 6)})
@@ -81,6 +105,13 @@ def test_size_limits():
         shapley_bruteforce_perms(db, fds, db.facts[0], MeasureKind.MI, limits=limits)
     with pytest.raises(InputError):
         OracleLimits(max_facts_subsets=0)
+    with pytest.raises(InputError, match="form"):
+        shapley_bruteforce_all(db, fds, db.facts, MeasureKind.MI, form="gray")
+    # an over-limit database refuses before evaluating any coalition
+    for form in ("subsets", "perms"):
+        with pytest.raises(OracleLimitError):
+            shapley_bruteforce_all(db, fds, db.facts, MeasureKind.MC, form, limits)
+    assert value_calls[0] == 0
 
 
 def test_unknown_fact(mini):
@@ -89,3 +120,33 @@ def test_unknown_fact(mini):
 
     with pytest.raises(InputError):
         shapley_bruteforce_subsets(db, fds, Fact("R", ("q", "7"), 9), MeasureKind.MI)
+
+
+def test_one_pass_per_command(tmp_path, value_calls):
+    """`--all` evaluates each coalition once (2^n calls, as one `--fact` does),
+    and each permutation's prefixes once from the first requested fact to the
+    last (n + 1 calls for `--all`, 2 for one fact)."""
+
+    def calls(argv):
+        value_calls[0] = 0
+        out, err = io.StringIO(), io.StringIO()
+        assert run_command(argv, stdout=out, stderr=err) == 0, err.getvalue()
+        return value_calls[0], json.loads(out.getvalue())
+
+    trains = ["--manifest", str(DATA_DIR / "trains" / "manifest.json"), "shapley",
+              "--measure", "r", "--method", "oracle"]
+    count, report = calls(trains + ["--all"])
+    assert count == 2**9 and len(report["facts"]) == 9
+    assert calls(trains + ["--fact", "Trains:3"])[0] == 2**9
+
+    rows = [("a", "1"), ("a", "2"), ("a", "3"), ("b", "1"), ("b", "2"), ("c", "1")]
+    (tmp_path / "r.csv").write_text("A,B\n" + "".join(f"{a},{b}\n" for a, b in rows))
+    (tmp_path / "r.fds").write_text("R: A -> B\n")
+    manifest = {"schema": {"R": ["A", "B"]}, "data": {"R": "r.csv"}, "fds": "r.fds"}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    perms = ["--manifest", str(tmp_path / "manifest.json"), "oracle", "--measure", "mc",
+             "--form", "perms"]
+    count, report = calls(perms + ["--all"])
+    assert count <= 720 * 7 and len(report["facts"]) == 6
+    assert report["efficiency_check"] is True
+    assert calls(perms + ["--fact", "R:2"])[0] <= 2 * 720
