@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetExceededError, InputError, UnsupportedModeError
-from .fd_analysis import TractabilityKind, classify
+from .fd_analysis import TractabilityKind, classify_relation
 from .measures import CoalitionEvaluator, MeasureKind
 from .relational import Database, Fact, FDSet
 
@@ -65,7 +65,6 @@ class ApproxParams:
 class Estimate:
     value: Fraction
     samples_used: int
-    marginal_range: int | None
     guarantee: Guarantee
 
 
@@ -94,24 +93,18 @@ def sample_count(params: ApproxParams, n: int, kind: MeasureKind) -> int:
     """Permutations needed for the requested guarantee on an n-fact database."""
     if params.samples_override is not None:
         return params.samples_override
-    bound = marginal_bound(kind, n)
+    epsilon = params.epsilon
     if params.mode is Mode.MULTIPLICATIVE:
         if kind in (MeasureKind.MI, MeasureKind.P):
             raise UnsupportedModeError(
                 f"multiplicative mode is unsupported for {kind.value!r}; "
                 "an exact polynomial algorithm exists; use --method exact"
             )
-        if kind is MeasureKind.MC:
-            # No multiplicative scheme is known for the repair count; fall
-            # back to the additive default and report no guarantee.
-            return _hoeffding_count(params.epsilon, params.delta, 1)
-        epsilon = params.epsilon / (n * (n - 1)) if n >= 2 else params.epsilon
-        return _hoeffding_count(epsilon, params.delta, bound)
-    if bound is None:
-        # Unbounded marginals: run the additive budget for range 1 and
-        # report no guarantee.
-        return _hoeffding_count(params.epsilon, params.delta, 1)
-    return _hoeffding_count(params.epsilon, params.delta, bound)
+        if kind is not MeasureKind.MC and n >= 2:
+            epsilon /= n * (n - 1)
+    # The repair count has unbounded marginals and no known multiplicative
+    # scheme: it runs the additive budget for range 1 with no guarantee.
+    return _hoeffding_count(epsilon, params.delta, marginal_bound(kind, n) or 1)
 
 
 def _guarantee(params: ApproxParams, kind: MeasureKind, db, fds) -> Guarantee:
@@ -121,9 +114,11 @@ def _guarantee(params: ApproxParams, kind: MeasureKind, db, fds) -> Guarantee:
         return Guarantee.ADDITIVE
     if kind is MeasureKind.R:
         # The sampled bound still holds, but repair-cost marginals on a
-        # hard-classified relation are themselves exponential-time in the
-        # worst case, so the polynomial multiplicative claim is dropped.
-        kinds = {c.kind for c in classify(fds).values()}
+        # hard-classified relation holding facts are themselves
+        # exponential-time in the worst case, so the polynomial
+        # multiplicative claim is dropped.
+        holding = filter(db.facts_of, db.schema.relation_names)
+        kinds = {classify_relation(fds.per_relation(r)).kind for r in holding}
         if TractabilityKind.HARD_CREPAIR in kinds:
             return Guarantee.NO_GUARANTEE
     return Guarantee.MULTIPLICATIVE
@@ -149,9 +144,7 @@ def estimate_all(
     ``estimate_shapley`` returns for that fact alone.  A node budget rides
     on ``engine``; without one, an unbounded evaluator is built.
     """
-    for fact in facts:
-        if fact not in db:
-            raise InputError(f"fact {fact.id} is not in the database")
+    db.require(facts)
     n = len(db)
     samples = sample_count(params, n, kind)
     guarantee = _guarantee(params, kind, db, fds)
@@ -198,7 +191,6 @@ def estimate_all(
         Estimate(
             value=Fraction(totals[engine.bit_of[fact.id]], samples),
             samples_used=samples,
-            marginal_range=bound,
             guarantee=guarantee,
         )
         for fact in facts

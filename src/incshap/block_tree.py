@@ -2,10 +2,11 @@
 
 For a chain-ordered FD list, level-i block vertices group their parent's
 facts by the i-th lhs; level-i subblock vertices further group a block by
-the i-th rhs.  Facts in different subblocks of one block always violate
-that level's FD with each other, while facts in different blocks under one
-subblock never conflict at all, so a vertex's consistency structure
-decomposes over its children.
+the i-th rhs.  Both use `Schema.group`, the conflict graph's grouping rule.
+Facts in different subblocks of one block always violate that level's FD
+with each other, while facts in different blocks under one subblock never
+conflict at all, so a vertex's consistency structure decomposes over its
+children.
 """
 
 from __future__ import annotations
@@ -75,14 +76,6 @@ def _dump(v: Vertex, depth: int, lines: list[str]) -> None:
         _dump(c, depth + 1, lines)
 
 
-def _group(facts, schema: Schema, attrs) -> list[tuple[Fact, ...]]:
-    """Maximal same-value groups on `attrs`, ordered by first fact load index."""
-    groups: dict[tuple[str, ...], list[Fact]] = {}
-    for fact in facts:
-        groups.setdefault(schema.project(fact, attrs), []).append(fact)
-    return [tuple(g) for g in groups.values()]
-
-
 def build_tree(facts: Iterable[Fact], chain: tuple[FD, ...], schema: Schema) -> BlockTree:
     """Build the alternating block/subblock tree for a chain-ordered FD list."""
     facts = tuple(sorted(facts, key=lambda f: f.index))
@@ -105,10 +98,10 @@ def _expand(parent: Vertex, level: int, chain: tuple[FD, ...], schema: Schema) -
     if level > len(chain):
         return
     fd = chain[level - 1]
-    for block_facts in _group(parent.facts, schema, fd.lhs):
+    for block_facts in schema.group(parent.facts, fd.lhs):
         block = Vertex(VertexKind.BLOCK, level, block_facts)
         parent.children.append(block)
-        for sub_facts in _group(block_facts, schema, fd.rhs):
+        for sub_facts in schema.group(block_facts, fd.rhs):
             sub = Vertex(VertexKind.SUBBLOCK, level, sub_facts)
             block.children.append(sub)
             _expand(sub, level + 1, chain, schema)

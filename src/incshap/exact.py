@@ -56,7 +56,9 @@ set of facts:
 * repair count: sum of repair counts over size-j subsets.  Inside a block
   every repair lives in a single non-empty child part, so child sums add
   against free choices elsewhere, with the empty subset contributing its
-  one (empty) repair; across a subblock's children repair counts multiply.
+  one (empty) repair, so a block of n facts has S_B = 1 + sum over
+  children c of (S_c - 1)(1 + x)^(n - |c|); across a subblock's children
+  repair counts multiply.
 
 Dividing a table entry by C(n, j) recovers the probability or expectation;
 the integer form keeps the convolutions exact and cheap.
@@ -210,28 +212,16 @@ def _consistent_block(n: int, children: list[list[int]]) -> list[int]:
 # -- repair count: summed repair counts
 
 
-def _spread(child: list[int], total_size: int) -> list[int]:
-    """Weigh one child's non-empty per-size sums by free choices among the other facts."""
-    table = [0] * (total_size + 1)
-    rest = total_size - (len(child) - 1)
-    for jc in range(1, len(child)):
-        if not child[jc]:
-            continue
-        for j in range(jc, jc + rest + 1):
-            table[j] += child[jc] * comb(rest, j - jc)
-    return table
-
-
 def _repair_sum_block(n: int, children: list[list[int]]) -> list[int]:
     """Summed repair counts of a block from its subblock children's.
 
     Each repair of a non-empty block subset lives in one non-empty child
     part, so child sums add against free choices in the rest of the block;
-    the empty subset carries its one (empty) repair.
+    the empty subset carries its one (empty) repair (see the module notes).
     """
     table = [1] + [0] * n
     for child in children:
-        for j, x in enumerate(_spread(child, n)):
+        for j, x in enumerate(_convolve([0, *child[1:]], _binomials(n + 1 - len(child)))):
             table[j] += x
     return table
 
@@ -527,9 +517,7 @@ class Game:
         refolds only shapes the game has not met yet.
         """
         facts, kind = list(facts), self.kind
-        for fact in facts:
-            if fact not in self.db:
-                raise InputError(f"fact {fact.id} is not in the database")
+        self.db.require(facts)
         if not facts:
             return []
         if kind is MeasureKind.MI or kind is MeasureKind.P:

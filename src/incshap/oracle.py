@@ -47,9 +47,7 @@ def shapley_bruteforce_all(
         limit, limit_name = limits.max_facts_perms, "permutation-enumeration"
     else:
         raise InputError(f"oracle form must be 'subsets' or 'perms', got {form!r}")
-    for fact in facts:
-        if fact not in db:
-            raise InputError(f"fact {fact.id} is not in the database")
+    db.require(facts)
     if not facts:
         return []
     n = len(db)

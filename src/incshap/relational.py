@@ -66,6 +66,14 @@ class Schema:
             fact.values[self.position(fact.relation, a)] for a in sorted(attributes)
         )
 
+    def group(self, facts: Iterable["Fact"], attributes: Iterable[str]) -> list[tuple["Fact", ...]]:
+        """Maximal groups of `facts` equal on `attributes`, in first-fact order:
+        the one grouping rule of conflict graphs and block trees."""
+        groups: dict[tuple[str, ...], list[Fact]] = {}
+        for fact in facts:
+            groups.setdefault(self.project(fact, attributes), []).append(fact)
+        return [tuple(g) for g in groups.values()]
+
 
 @dataclass(frozen=True)
 class Fact:
@@ -184,6 +192,12 @@ class Database:
     def __contains__(self, fact: Fact) -> bool:
         return self._by_id.get(fact.id) == fact
 
+    def require(self, facts: Iterable[Fact]) -> None:
+        """Raise InputError for the first of `facts` not in the database."""
+        for fact in facts:
+            if fact not in self:
+                raise InputError(f"fact {fact.id} is not in the database")
+
     def __len__(self) -> int:
         return len(self.facts)
 
@@ -247,10 +261,9 @@ def violates(f: Fact, g: Fact, fds: FDSet) -> bool:
 def build_conflict_graph(db: Database, fds: FDSet) -> dict[str, ConflictGraph]:
     """Per-relation conflict graphs; vertex order is fact load order.
 
-    Edges are found by bucketing each relation's facts on every FD's lhs
-    values and pairing across distinct rhs values inside a bucket, so the
-    cost is near-linear in facts plus quadratic only inside conflicting
-    groups.
+    Edges are the cross pairs of each FD's rhs groups inside each of its lhs
+    groups (`Schema.group`), so the cost is near-linear in facts plus
+    quadratic only inside conflicting groups.
     """
     if db.schema != fds.schema:
         raise SchemaError("database and FD set are over different schemas")
@@ -259,16 +272,8 @@ def build_conflict_graph(db: Database, fds: FDSet) -> dict[str, ConflictGraph]:
         facts = db.facts_of(relation)
         edges: set[tuple[int, int]] = set()
         for fd in fds.per_relation(relation):
-            groups: dict[tuple[str, ...], list[Fact]] = {}
-            for fact in facts:
-                groups.setdefault(db.schema.project(fact, fd.lhs), []).append(fact)
-            for group in groups.values():
-                by_rhs: dict[tuple[str, ...], list[Fact]] = {}
-                for fact in group:
-                    by_rhs.setdefault(db.schema.project(fact, fd.rhs), []).append(fact)
-                if len(by_rhs) < 2:
-                    continue
-                parts = list(by_rhs.values())
+            for group in db.schema.group(facts, fd.lhs):
+                parts = db.schema.group(group, fd.rhs)
                 for a, part in enumerate(parts):
                     for other in parts[a + 1 :]:
                         for x in part:

@@ -123,6 +123,20 @@ class TestEstimate:
         assert est.guarantee is Guarantee.NO_GUARANTEE
         additive = estimate_shapley(db, fds, db.facts[0], MeasureKind.R, ApproxParams(0.3, 0.3))
         assert additive.guarantee is Guarantee.ADDITIVE
+        # A hard relation that holds no facts leaves the claim in place.
+        schema = Schema.from_dict({"R": ["A", "B"], "S": ["A", "B", "C"]})
+        fds = FDSet(
+            schema,
+            (
+                FD("R", frozenset({"A"}), frozenset({"B"})),
+                FD("S", frozenset({"A"}), frozenset({"C"})),
+                FD("S", frozenset({"B"}), frozenset({"C"})),
+            ),
+        )
+        db = Database.build(schema, {"R": [("a", "1"), ("a", "2")]})
+        params = ApproxParams(0.1, 0.05, mode=Mode.MULTIPLICATIVE)
+        estimates = estimate_all(db, fds, db.facts, MeasureKind.R, params)
+        assert [e.guarantee for e in estimates] == [Guarantee.MULTIPLICATIVE] * 2
 
     def test_mean_is_exact_rational(self, mini):
         db, fds = mini

@@ -8,13 +8,17 @@ from fractions import Fraction
 import pytest
 
 from incshap import (
+    ApproxParams,
     CoalitionEvaluator,
     Database,
+    Fact,
     FDSet,
+    Game,
     MeasureKind,
     OracleLimitError,
     OracleLimits,
     Schema,
+    estimate_all,
     measure,
     shapley_bruteforce_all,
     shapley_bruteforce_perms,
@@ -115,11 +119,27 @@ def test_size_limits(value_calls):
 
 
 def test_unknown_fact(mini):
+    """Exact, sampled and oracle values all refuse a fact outside the database,
+    and all return [] for an empty request."""
     db, fds = mini
-    from incshap import Fact
-
+    unknown = Fact("R", ("q", "7"), 9)
     with pytest.raises(InputError):
-        shapley_bruteforce_subsets(db, fds, Fact("R", ("q", "7"), 9), MeasureKind.MI)
+        shapley_bruteforce_subsets(db, fds, unknown, MeasureKind.MI)
+    engines = (
+        lambda facts: Game(db, fds, MeasureKind.MI).values(facts),
+        lambda facts: estimate_all(db, fds, facts, MeasureKind.MI, ApproxParams(0.3, 0.3)),
+        lambda facts: shapley_bruteforce_all(db, fds, facts, MeasureKind.MI),
+    )
+    for values in engines:
+        with pytest.raises(InputError, match="not in the database"):
+            values([db.facts[0], unknown])
+        assert values([]) == []
+    # the oracle checks membership before its size limit
+    over = OracleLimits(max_facts_subsets=len(db) - 1)
+    with pytest.raises(OracleLimitError):
+        shapley_bruteforce_all(db, fds, db.facts, MeasureKind.MI, limits=over)
+    with pytest.raises(InputError, match="not in the database"):
+        shapley_bruteforce_all(db, fds, [unknown], MeasureKind.MI, limits=over)
 
 
 def test_one_pass_per_command(tmp_path, value_calls):
