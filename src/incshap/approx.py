@@ -12,9 +12,12 @@ adds facts in permutation order, carries the value of the current prefix,
 and reads a fact's marginal off two consecutive prefixes, value(prefix + f)
 - value(prefix).  Each prefix is evaluated at most once, from the previous
 one and the added fact's region, the part of the prefix in that fact's
-conflict component (``CoalitionEvaluator.value_with``), and the walk stops
-after the last requested fact.  A fact's marginals are those of the one-fact estimator, so
-estimating facts together or one at a time gives identical values.
+conflict component (``CoalitionEvaluator.value_with``).  The walk stops
+after the last requested fact, and for d at the first conflict, after which
+every drastic marginal is 0.  A permutation shuffles the facts in load
+order, whatever bits the evaluator gives them.  A fact's marginals are those
+of the one-fact estimator, so estimating facts together or one at a time
+gives identical values.
 """
 
 from __future__ import annotations
@@ -151,8 +154,11 @@ def estimate_all(
     if engine is None:
         engine = CoalitionEvaluator(db, fds)
     selected = {engine.bit_of[fact.id] for fact in facts}
-    order_template = list(range(n))
+    # Shuffling moves positions, not values: the facts come in the same
+    # order whatever bit each one has.
+    order_template = [engine.bit_of[fact.id] for fact in db.facts]
     bound = marginal_bound(kind, n)
+    drastic = kind is MeasureKind.DRASTIC
     totals = dict.fromkeys(selected, 0)
     for index in range(samples):
         rng = _sample_rng(params.seed, index)
@@ -186,6 +192,8 @@ def estimate_all(
                 if not pending:
                     break
             value = extended
+            if value and drastic:
+                break  # every later drastic marginal is 0
             mask |= 1 << i
     return [
         Estimate(

@@ -10,16 +10,26 @@ vertex-cover and repair-counting searches are exponential in the worst
 case and honor an optional node budget that counts memo misses only: vertex
 covers are memoized per induced subgraph, repair counts per search state.
 
+The evaluator numbers its bits one conflict component at a time, so a
+component is a contiguous bit range.  Its searches and memos work on the
+component's small local masks: a coalition splits into one local mask per
+component it meets, with a shift and a mask.  The empty set is one entry
+of the vertex-cover memo for all components, so every search spends the
+nodes it would on one memo keyed by fact set.  ``value`` keeps the r and
+mc value of each local mask in memos of its own: a search memo can hold a
+disconnected mask whose connected parts were never searched, and reading
+it would spend fewer nodes than the split into parts that ``value`` does.
+
 The sampler grows a coalition one fact i at a time.  Facts outside i's
-home, its conflict component in the whole database, never change the r or
-mc marginal, so a step evaluates only i's region, the coalition within the
-home, and the grown region with i.  Both are memoized as whole masks: cover
-size and repair count of a disconnected mask are the sum and product over
-its components, so these entries agree with every other key (a count key
-with excluded facts is at least 2**n and never collides).  A minimum
-cover of the grown region either takes i or takes every neighbour of i,
-so an r miss searches only the region less i's neighbours.  Each miss on a
-grown region is one budget node.
+component never change the r or mc marginal, so a step evaluates only i's
+region, the coalition's part in that component, and the grown region with
+i.  Both are memoized as whole local masks: cover size and repair count of
+a disconnected mask are the sum and product over its connected parts, so
+these entries agree with every other key (a count key with excluded facts
+is at least 2**size and never collides).  A minimum cover of the grown
+region either takes i or takes every neighbour of i, so an r miss searches
+only the region less i's neighbours.  Each miss on a grown region is one
+budget node.
 """
 
 from __future__ import annotations
@@ -27,9 +37,10 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from math import prod
 
 from .errors import BudgetExceededError, InputError, SchemaError
-from .relational import Database, FDSet, build_conflict_graph
+from .relational import Database, Fact, FDSet, build_conflict_graph
 
 
 class MeasureKind(enum.Enum):
@@ -40,19 +51,45 @@ class MeasureKind(enum.Enum):
     MC = "mc"
 
 
+# Module-level names for the hot paths: on CPython 3.11 looking a member up
+# on the enum class costs about 150 ns, a global about 20 ns.
+_D, _MI, _P, _R, _MC = MeasureKind
+
+
 def check_budget(budget: int | None) -> None:
     """Reject a negative node budget; None means unbounded."""
     if budget is not None and budget < 0:
         raise InputError(f"the node budget must be non-negative, got {budget}")
 
 
+class _Component:
+    """One conflict component on local bits: local bit j is the evaluator's
+    bit ``offset + j``, and the component's facts keep their load order."""
+
+    __slots__ = ("offset", "size", "full", "adj", "vc_memo", "mis_memo", "costs", "counts")
+
+    def __init__(self, offset: int, adj: list[int]):
+        self.offset = offset
+        self.size = len(adj)
+        self.full = (1 << self.size) - 1
+        self.adj = adj  # neighbours of each local bit, as a local mask
+        self.vc_memo: dict[int, int] = {}  # cover size per nonempty local mask
+        self.mis_memo: dict[int, int] = {}  # repair count per state P | X << size
+        self.costs: dict[int, int] = {}  # r, as ``value`` reads it, per local mask
+        self.counts: dict[int, int] = {}  # mc, as ``value`` reads it, per local mask
+
+
 class CoalitionEvaluator:
     """Evaluates any measure on arbitrary fact subsets encoded as bitmasks.
 
-    Bit i corresponds to ``facts[i]`` (database load order across relations).
-    Vertex covers are memoized per induced-subgraph mask and repair counts
-    per (candidates, excluded) search state, so repeated coalition queries
-    (oracles, samplers) stay cheap; a memo hit costs no node of the budget.
+    Bits are numbered one conflict component at a time: components in the
+    order of their first fact in load order, facts within a component in
+    load order, so each component is a contiguous bit range and ``facts[i]``
+    is the fact of bit i.  The searches run on a component's local masks,
+    and vertex covers are memoized per induced-subgraph mask and repair
+    counts per (candidates, excluded) search state in per-component memos,
+    so repeated coalition queries (oracles, samplers) stay cheap; a memo hit
+    costs no node of the budget.
     """
 
     def __init__(self, db: Database, fds: FDSet, budget: int | None = None):
@@ -62,23 +99,28 @@ class CoalitionEvaluator:
         self.db = db
         self.fds = fds
         self.budget = budget
-        self.facts = db.facts
+        self.graphs = build_conflict_graph(db, fds)
+        load = {fact.id: k for k, fact in enumerate(db.facts)}
+        adj = [0] * len(db.facts)
+        for graph in self.graphs.values():
+            for i, j in graph.edges:
+                a, b = load[graph.facts[i].id], load[graph.facts[j].id]
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+        self.facts: list[Fact] = []
+        self.comp_of: list[_Component] = []  # the component of each bit
+        # The whole database on load-order bits, only to find its components.
+        whole = _Component(0, adj)
+        for members in self._components(whole, whole.full):
+            local = {k: j for j, k in enumerate(self._bits(members))}
+            comp_adj = [sum(1 << local[b] for b in self._bits(adj[k])) for k in local]
+            comp = _Component(len(self.facts), comp_adj)
+            self.facts += [db.facts[k] for k in local]
+            self.comp_of += [comp] * len(local)
         self.bit_of = {fact.id: i for i, fact in enumerate(self.facts)}
         self.full_mask = (1 << len(self.facts)) - 1
-        self.adj = [0] * len(self.facts)
-        self.graphs = build_conflict_graph(db, fds)
-        for relation, graph in self.graphs.items():
-            for i, j in graph.edges:
-                gi = self.bit_of[graph.facts[i].id]
-                gj = self.bit_of[graph.facts[j].id]
-                self.adj[gi] |= 1 << gj
-                self.adj[gj] |= 1 << gi
-        self.home = [0] * len(self.facts)
-        for comp in self._components(self.full_mask):
-            for j in self._bits(comp):
-                self.home[j] = comp
-        self._vc_memo: dict[int, int] = {}
-        self._mis_memo: dict[int, int] = {}
+        # The empty set is one subgraph, whichever component reaches it.
+        self._empty_vc: dict[int, int] = {}
 
     def mask_of(self, fact_ids) -> int:
         mask = 0
@@ -86,7 +128,8 @@ class CoalitionEvaluator:
             mask |= 1 << self.bit_of[fid]
         return mask
 
-    def _bits(self, mask: int):
+    @staticmethod
+    def _bits(mask: int):
         while mask:
             low = mask & -mask
             yield low.bit_length() - 1
@@ -99,68 +142,94 @@ class CoalitionEvaluator:
             raise BudgetExceededError(f"{search} exceeded the node budget of {self.budget}")
 
     def value(self, kind: MeasureKind, mask: int) -> int:
-        if kind is MeasureKind.DRASTIC:
-            return self.drastic(mask)
-        if kind is MeasureKind.MI:
-            return self.violating_pairs(mask)
-        if kind is MeasureKind.P:
-            return self.problematic(mask)
-        if kind is MeasureKind.R:
-            return self.repair_cost(mask)
-        if kind is MeasureKind.MC:
-            return self.repair_count(mask)
-        raise ValueError(f"unknown measure kind {kind!r}")
+        """The measure of the coalition ``mask``.
 
-    def drastic(self, mask: int) -> int:
-        for i in self._bits(mask):
-            if self.adj[i] & mask:
+        Each component contributes the measure of its part of ``mask``; the
+        contributions add up (mi, p, r), multiply (mc) or give 1 if any is 1
+        (d).  The r and mc contributions are memoized per local mask, beside
+        the search memos that their connected parts fill in any case.
+        """
+        if not isinstance(kind, MeasureKind):
+            raise ValueError(f"unknown measure kind {kind!r}")
+        product = kind is _MC
+        total = 1 if product else 0
+        while mask:
+            comp = self.comp_of[(mask & -mask).bit_length() - 1]
+            local = mask >> comp.offset & comp.full
+            mask &= ~(comp.full << comp.offset)
+            if product or kind is _R:
+                memo = comp.counts if product else comp.costs
+                part = memo.get(local)
+                if part is None:
+                    part = memo[local] = self._local_value(kind, comp, local)
+            else:
+                part = self._local_value(kind, comp, local)
+            if product:
+                total *= part
+            elif part and kind is _D:
                 return 1
-        return 0
+            else:
+                total += part
+        return total
 
-    def violating_pairs(self, mask: int) -> int:
-        total = 0
-        for i in self._bits(mask):
-            total += (self.adj[i] & mask).bit_count()
-        return total // 2
+    def _local_value(self, kind: MeasureKind, comp: _Component, mask: int) -> int:
+        """The measure of a local mask of ``comp``; each connected part of it
+        is one vertex-cover search (r) or repair count (mc)."""
+        if kind is _R:
+            return sum(self._vc(comp, part) for part in self._components(comp, mask))
+        if kind is _MC:
+            return prod(self._count_mis(comp, part, 0, [0]) for part in self._components(comp, mask))
+        adj = comp.adj
+        pairs = problematic = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            touching = adj[low.bit_length() - 1] & mask
+            if touching:
+                if kind is _D:
+                    return 1
+                pairs += touching.bit_count()
+                problematic += 1
+        return pairs // 2 if kind is _MI else problematic
 
-    def problematic(self, mask: int) -> int:
-        return sum(1 for i in self._bits(mask) if self.adj[i] & mask)
-
-    def _components(self, mask: int):
+    def _components(self, comp: _Component, mask: int):
+        """The connected parts of the local mask ``mask`` of ``comp``."""
+        adj = comp.adj
         remaining = mask
         while remaining:
             frontier = remaining & -remaining
-            comp = 0
+            part = 0
             while frontier:
-                comp |= frontier
+                part |= frontier
                 grown = 0
                 while frontier:
                     low = frontier & -frontier
-                    grown |= self.adj[low.bit_length() - 1] & remaining
+                    grown |= adj[low.bit_length() - 1] & remaining
                     frontier ^= low
-                frontier = grown & ~comp
-            yield comp
-            remaining &= ~comp
+                frontier = grown & ~part
+            yield part
+            remaining &= ~part
 
-    def repair_cost(self, mask: int) -> int:
-        """Minimum vertex cover of the induced conflict graph."""
-        return sum(self._vc(comp) for comp in self._components(mask))
-
-    def _cost(self, mask: int, nodes: list) -> int:
-        """``repair_cost`` memoized per mask, its searches spending ``nodes``."""
-        cost = self._vc_memo.get(mask)
+    def _cost(self, comp: _Component, mask: int, nodes: list) -> int:
+        """Cover size of a local mask, memoized per mask, its searches spending ``nodes``."""
+        memo = comp.vc_memo if mask else self._empty_vc
+        cost = memo.get(mask)
         if cost is None:
-            cost = self._vc_memo[mask] = sum(
-                self._vc(comp, nodes) for comp in self._components(mask)
+            cost = memo[mask] = sum(
+                self._vc(comp, part, nodes) for part in self._components(comp, mask)
             )
         return cost
 
-    def _vc(self, mask: int, _nodes: list | None = None) -> int:
-        if mask in self._vc_memo:
-            return self._vc_memo[mask]
+    def _vc(self, comp: _Component, mask: int, _nodes: list | None = None) -> int:
+        memo = comp.vc_memo if mask else self._empty_vc
+        result = memo.get(mask)
+        if result is not None:
+            return result
         if _nodes is None:
             _nodes = [0]
         self._spend(_nodes, "vertex-cover search")
+        adj = comp.adj
         best_i, best_deg = -1, -1
         pendant = -1
         rest = mask
@@ -168,7 +237,7 @@ class CoalitionEvaluator:
             low = rest & -rest
             rest ^= low
             i = low.bit_length() - 1
-            deg = (self.adj[i] & mask).bit_count()
+            deg = (adj[i] & mask).bit_count()
             if deg == 1 and pendant < 0:
                 pendant = i
             if deg > best_deg:
@@ -177,108 +246,90 @@ class CoalitionEvaluator:
             result = 0
         elif pendant >= 0:
             # A degree-1 vertex: some minimum cover takes its neighbor.
-            neighbor_bit = self.adj[pendant] & mask
-            result = 1 + self._vc(mask & ~neighbor_bit & ~(1 << pendant), _nodes)
+            neighbor_bit = adj[pendant] & mask
+            result = 1 + self._vc(comp, mask & ~neighbor_bit & ~(1 << pendant), _nodes)
         else:
-            take_v = 1 + self._vc(mask & ~(1 << best_i), _nodes)
-            closed = (self.adj[best_i] & mask) | (1 << best_i)
-            take_neighbors = best_deg + self._vc(mask & ~closed, _nodes)
+            take_v = 1 + self._vc(comp, mask & ~(1 << best_i), _nodes)
+            closed = (adj[best_i] & mask) | (1 << best_i)
+            take_neighbors = best_deg + self._vc(comp, mask & ~closed, _nodes)
             result = min(take_v, take_neighbors)
-        self._vc_memo[mask] = result
+        memo[mask] = result
         return result
 
-    def repair_count(self, mask: int) -> int:
-        """Number of maximal independent sets; 1 for the empty set."""
-        result = 1
-        for comp in self._components(mask):
-            result *= self._count_mis(comp, 0, [0])
-        return result
-
-    def _count_mis(self, candidates: int, excluded: int, nodes: list) -> int:
+    def _count_mis(self, comp: _Component, candidates: int, excluded: int, nodes: list) -> int:
         """Number of repairs ``_extend_mis`` would yield from this state, without yielding them."""
         if not candidates:
             return 0 if excluded else 1
-        key = candidates | excluded << len(self.facts)
-        count = self._mis_memo.get(key)
+        key = candidates | excluded << comp.size
+        count = comp.mis_memo.get(key)
         if count is not None:
             return count
         self._spend(nodes, "repair enumeration")
-        branch = self._pivot_branches(candidates, excluded)
+        adj = comp.adj
+        branch = _pivot_branches(adj, candidates, excluded)
         count = 0
         while branch:
             bit = branch & -branch
             branch ^= bit
-            nonadj = ~self.adj[bit.bit_length() - 1] & ~bit
-            count += self._count_mis(candidates & nonadj, excluded & nonadj, nodes)
+            nonadj = ~adj[bit.bit_length() - 1] & ~bit
+            count += self._count_mis(comp, candidates & nonadj, excluded & nonadj, nodes)
             candidates &= ~bit
             excluded |= bit
-        self._mis_memo[key] = count
+        comp.mis_memo[key] = count
         return count
 
     def value_with(self, kind: MeasureKind, mask: int, value: int, i: int) -> int:
         """Value of ``mask | 1 << i``, given ``value``, the value of ``mask`` (i not in mask).
 
-        For r and mc only i's region, ``mask & home[i]``, can change.  The
-        region and ``grown``, the region with i, are memoized as whole masks.
-        A minimum cover of ``grown`` takes i or every neighbour of i, so an r
-        miss on ``grown`` searches only the region less i's neighbours; an mc
-        miss counts the repairs of the component i joins.  A miss on ``grown``
-        is one node of a per-step counter that its r sub-searches share.
+        For r and mc only i's region, the part of ``mask`` in i's component,
+        can change.  The region and ``grown``, the region with i, are
+        memoized as whole local masks, and a step that finds both returns
+        at once.  A minimum cover of ``grown`` takes i or every neighbour of
+        i, so an r miss on ``grown`` searches only the region less i's
+        neighbours; an mc miss counts the repairs of the part i joins.  A
+        miss on ``grown`` is one node of a per-step counter that its r
+        sub-searches share.
         """
-        touching = self.adj[i] & mask
-        if kind is MeasureKind.DRASTIC:
+        comp = self.comp_of[i]
+        region = mask >> comp.offset & comp.full
+        i -= comp.offset
+        adj = comp.adj
+        touching = adj[i] & region
+        if kind is _D:
             return 1 if value or touching else 0
-        if kind is MeasureKind.MI:
+        if kind is _MI:
             return value + touching.bit_count()
-        if kind is MeasureKind.P:
-            newly = sum(1 for h in self._bits(touching) if not self.adj[h] & mask)
+        if kind is _P:
+            newly = sum(1 for h in self._bits(touching) if not adj[h] & region)
             return value + (1 if touching else 0) + newly
-        if kind is not MeasureKind.R and kind is not MeasureKind.MC:
+        if kind is not _R and kind is not _MC:
             raise ValueError(f"unknown measure kind {kind!r}")
         if not touching:
             return value
-        region = mask & self.home[i]
         grown = region | 1 << i
-        if kind is MeasureKind.R:
-            nodes = [0]
-            before = self._cost(region, nodes)
-            after = self._vc_memo.get(grown)
-            if after is None:
-                self._spend(nodes, "vertex-cover search")
-                rest = self._cost(region & ~self.adj[i], nodes)
-                after = self._vc_memo[grown] = min(before + 1, touching.bit_count() + rest)
+        if kind is _R:
+            memo = comp.vc_memo
+            before, after = memo.get(region), memo.get(grown)
+            if before is None or after is None:
+                nodes = [0]
+                if before is None:
+                    before = self._cost(comp, region, nodes)
+                if after is None:
+                    self._spend(nodes, "vertex-cover search")
+                    rest = self._cost(comp, region & ~adj[i], nodes)
+                    after = memo[grown] = min(before + 1, touching.bit_count() + rest)
             return value - before + after
-        before = self._mis_memo.get(region)
+        memo = comp.mis_memo
+        before, after = memo.get(region), memo.get(grown)
         if before is None:
-            before = self._mis_memo[region] = self.repair_count(region)
-        after = self._mis_memo.get(grown)
+            before = memo[region] = self._local_value(kind, comp, region)
         if after is None:
-            after = self._mis_memo[grown] = self.repair_count(grown)
+            after = memo[grown] = self._local_value(kind, comp, grown)
         return value // before * after
 
-    def _pivot_branches(self, candidates: int, excluded: int) -> int:
-        """The candidates to branch on: the pivot and its candidate neighbors.
-
-        The pivot is the vertex of candidates | excluded with the most
-        non-neighbors among the candidates; counting and enumeration share it.
-        """
-        adj = self.adj
-        pivot, best = -1, -1
-        rest = candidates | excluded
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            i = low.bit_length() - 1
-            gain = (candidates & ~adj[i] & ~low).bit_count()
-            if gain > best:
-                pivot, best = i, gain
-        return candidates & (adj[pivot] | 1 << pivot)
-
-    def _maximal_independent_sets(self, mask: int):
-        """Pivoting enumeration (clique search on the implicit complement)."""
-        return self._extend_mis(0, mask, 0, [0])
-
-    def _extend_mis(self, current: int, candidates: int, excluded: int, nodes: list):
+    def _extend_mis(self, comp: _Component, current: int, candidates: int, excluded: int, nodes: list):
+        """Pivoting enumeration of the repairs of a local mask (clique search on
+        the implicit complement)."""
         # A method rather than a nested generator: a closure that refers to
         # itself forms a reference cycle that keeps the evaluator and its
         # memos alive until the cyclic garbage collector runs.
@@ -286,14 +337,33 @@ class CoalitionEvaluator:
         if not candidates and not excluded:
             yield current
             return
-        for i in self._bits(self._pivot_branches(candidates, excluded)):
+        adj = comp.adj
+        for i in self._bits(_pivot_branches(adj, candidates, excluded)):
             bit = 1 << i
-            nonadj = ~self.adj[i] & ~bit
+            nonadj = ~adj[i] & ~bit
             yield from self._extend_mis(
-                current | bit, candidates & nonadj, excluded & nonadj, nodes
+                comp, current | bit, candidates & nonadj, excluded & nonadj, nodes
             )
             candidates &= ~bit
             excluded |= bit
+
+
+def _pivot_branches(adj: list[int], candidates: int, excluded: int) -> int:
+    """The candidates to branch on: the pivot and its candidate neighbors.
+
+    The pivot is the vertex of candidates | excluded with the most
+    non-neighbors among the candidates; counting and enumeration share it.
+    """
+    pivot, best = -1, -1
+    rest = candidates | excluded
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        i = low.bit_length() - 1
+        gain = (candidates & ~adj[i] & ~low).bit_count()
+        if gain > best:
+            pivot, best = i, gain
+    return candidates & (adj[pivot] | 1 << pivot)
 
 
 @dataclass(frozen=True)
@@ -305,28 +375,33 @@ class RepairEnumeration:
 def enumerate_repairs(db: Database, fds: FDSet, cap: int = 10000) -> RepairEnumeration:
     """All repairs (maximal consistent subsets) as sorted fact-id tuples.
 
-    Per-relation maximal independent sets are combined by Cartesian product
-    in schema relation order; output order is deterministic and the list is
-    truncated at `cap` with an explicit flag.
+    A relation's repairs are the Cartesian product of its conflict
+    components' maximal independent sets, and relations combine by
+    Cartesian product in schema relation order.  Each repair lists its facts
+    in load order and each relation's list is sorted, so output order is
+    deterministic; the list is truncated at `cap` with an explicit flag, and
+    which repairs a truncated list holds follows the enumeration order.
     """
     engine = CoalitionEvaluator(db, fds)
+    position = {fact.id: k for k, fact in enumerate(db.facts)}
+    load = [position[fact.id] for fact in engine.facts]  # load position of each bit
     per_relation: list[list[tuple[int, ...]]] = []
     for relation in db.schema.relation_names:
         facts = db.facts_of(relation)
         if not facts:
             continue
-        mask = engine.mask_of(f.id for f in facts)
-        sets = []
-        for mis in engine._maximal_independent_sets(mask):
-            sets.append(tuple(sorted(engine._bits(mis))))
-            if len(sets) > cap:
-                break  # any prefix of the eventual product only needs this many
-        per_relation.append(sorted(sets))
+        per_component = []
+        for comp in dict.fromkeys(engine.comp_of[engine.bit_of[f.id]] for f in facts):
+            # any prefix of the eventual product only needs this many
+            sets = itertools.islice(engine._extend_mis(comp, 0, comp.full, 0, [0]), cap + 1)
+            per_component.append(
+                [[load[comp.offset + j] for j in engine._bits(mis)] for mis in sets]
+            )
+        product = itertools.islice(itertools.product(*per_component), cap + 1)
+        per_relation.append(sorted(tuple(sorted(itertools.chain(*parts))) for parts in product))
 
     combined = itertools.islice(itertools.product(*per_relation), cap + 1)
     flat = [tuple(itertools.chain.from_iterable(parts)) for parts in combined]
     truncated = len(flat) > cap
-    repairs = tuple(
-        tuple(engine.facts[i].id for i in members) for members in flat[:cap]
-    )
+    repairs = tuple(tuple(db.facts[k].id for k in members) for members in flat[:cap])
     return RepairEnumeration(repairs, truncated)

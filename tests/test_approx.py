@@ -17,6 +17,7 @@ from incshap import (
     Schema,
     CoalitionEvaluator,
     UnsupportedModeError,
+    enumerate_repairs,
     estimate_all,
     estimate_shapley,
     sample_count,
@@ -300,23 +301,96 @@ def _clustered_hard_instance(clusters: int = 3):
     return Database.build(schema, {"R": rows}), fds
 
 
-def test_sampled_r_spends_a_node_per_memo_miss(trains):
+def _check_least_budget(trains, kind, search):
     """The largest single node count of an unbudgeted walk is the least budget that finishes it."""
     params = ApproxParams(0.1, 0.05, seed=0)
     for db, fds in (trains, _clustered_hard_instance()):
         facts = list(db.facts)
         recording = _RecordingEvaluator(db, fds)
-        unbounded = estimate_all(db, fds, facts, MeasureKind.R, params, engine=recording)
+        unbounded = estimate_all(db, fds, facts, kind, params, engine=recording)
         most = recording.most
         assert most >= 1
         bounded = CoalitionEvaluator(db, fds, budget=most)
-        assert estimate_all(db, fds, facts, MeasureKind.R, params, engine=bounded) == unbounded
+        assert estimate_all(db, fds, facts, kind, params, engine=bounded) == unbounded
         with pytest.raises(
             BudgetExceededError,
             match=r"^measure evaluation aborted on a sampled coalition of size \d+: "
-            r"vertex-cover search exceeded the node budget of \d+$",
+            rf"{search} exceeded the node budget of {most - 1}$",
         ):
             estimate_all(
-                db, fds, facts, MeasureKind.R, params,
+                db, fds, facts, kind, params,
                 engine=CoalitionEvaluator(db, fds, budget=most - 1),
             )
+
+
+def test_sampled_r_spends_a_node_per_memo_miss(trains):
+    _check_least_budget(trains, MeasureKind.R, "vertex-cover search")
+
+
+def test_sampled_mc_spends_a_node_per_memo_miss(trains):
+    _check_least_budget(trains, MeasureKind.MC, "repair enumeration")
+
+
+def _interleaved_instance(size: int):
+    """The first ``size`` facts of two clusters, loaded alternately, so that
+    the two conflict components interleave in load order."""
+    db, fds = _clustered_hard_instance(2)
+    rows = [fact.values for fact in db.facts]
+    alternating = [row for pair in zip(rows[:size], rows[12 : 12 + size]) for row in pair]
+    return Database.build(db.schema, {"R": alternating}), fds
+
+
+def _reference_walk(db, fds, kind, params):
+    """Mean marginals over the sampler's permutations of ``db.facts``, each
+    prefix measured from scratch by ``value``."""
+    engine = CoalitionEvaluator(db, fds)
+    samples = sample_count(params, len(db), kind)
+    totals = dict.fromkeys((fact.id for fact in db.facts), 0)
+    for index in range(samples):
+        order = list(db.facts)
+        approx._sample_rng(params.seed, index).shuffle(order)
+        prefix, before = [], engine.value(kind, 0)
+        for fact in order:
+            prefix.append(fact.id)
+            after = engine.value(kind, engine.mask_of(prefix))
+            totals[fact.id] += after - before
+            before = after
+    return [Fraction(totals[fact.id], samples) for fact in db.facts]
+
+
+@pytest.mark.parametrize("kind", [MeasureKind.DRASTIC, MeasureKind.R, MeasureKind.MC])
+@pytest.mark.parametrize("size", [5, 12])
+def test_estimates_do_not_depend_on_bit_order(kind, size):
+    """Interleaved components number their bits apart from load order; the
+    walk still adds the facts in the order each seeded shuffle of the loaded
+    facts gives."""
+    db, fds = _interleaved_instance(size)
+    assert CoalitionEvaluator(db, fds).facts != list(db.facts)
+    for seed in (0, 1):
+        params = ApproxParams(0.1, 0.05, seed=seed, samples_override=40)
+        got = [est.value for est in estimate_all(db, fds, list(db.facts), kind, params)]
+        assert got == _reference_walk(db, fds, kind, params)
+
+
+def test_interleaved_repairs_are_listed_in_load_order():
+    db, fds = _interleaved_instance(5)
+    result = enumerate_repairs(db, fds)
+    assert not result.truncated
+    assert result.repairs == (
+        ("R:0", "R:1", "R:2", "R:3", "R:6", "R:7"),
+        ("R:0", "R:1", "R:2", "R:6", "R:7", "R:9"),
+        ("R:0", "R:1", "R:3", "R:7", "R:8"),
+        ("R:0", "R:1", "R:7", "R:8", "R:9"),
+        ("R:0", "R:2", "R:3", "R:5", "R:6", "R:7"),
+        ("R:0", "R:2", "R:5", "R:6", "R:7", "R:9"),
+        ("R:0", "R:3", "R:5", "R:7", "R:8"),
+        ("R:0", "R:5", "R:7", "R:8", "R:9"),
+        ("R:1", "R:2", "R:3", "R:4", "R:6", "R:7"),
+        ("R:1", "R:2", "R:4", "R:6", "R:7", "R:9"),
+        ("R:1", "R:3", "R:4", "R:7", "R:8"),
+        ("R:1", "R:4", "R:7", "R:8", "R:9"),
+        ("R:2", "R:3", "R:4", "R:5", "R:6", "R:7"),
+        ("R:2", "R:4", "R:5", "R:6", "R:7", "R:9"),
+        ("R:3", "R:4", "R:5", "R:7", "R:8"),
+        ("R:4", "R:5", "R:7", "R:8", "R:9"),
+    )

@@ -271,9 +271,9 @@ class TestTablesByEnumeration:
         for j in range(len(bits) + 1):
             for chosen in itertools.combinations(bits, j):
                 subset = sum(1 << i for i in chosen) | extra
-                d[j] += engine.drastic(subset)
-                mc[j] += engine.repair_count(subset)
-                r[j][engine.repair_cost(subset)] += 1
+                d[j] += engine.value(MeasureKind.DRASTIC, subset)
+                mc[j] += engine.value(MeasureKind.MC, subset)
+                r[j][engine.value(MeasureKind.R, subset)] += 1
         return tuple(d), tuple(mc), tuple(tuple(row) for row in r)
 
     def test_root_tables_match_subset_enumeration(self):

@@ -172,7 +172,7 @@ def test_evaluator_freed_without_cycle_collection(trains):
     gc.disable()
     try:
         engine = CoalitionEvaluator(db, fds)
-        assert engine.repair_count(engine.full_mask) > 1
+        assert engine.value(MeasureKind.MC, engine.full_mask) > 1
         ref = weakref.ref(engine)
         del engine
         assert ref() is None
@@ -193,46 +193,71 @@ def _count_test_instances():
         yield db, fds, masks
 
 
+def _parts(engine, masks):
+    """(component, connected part) for each connected part of each mask."""
+    for mask in masks:
+        for comp in dict.fromkeys(engine.comp_of):
+            for part in engine._components(comp, mask >> comp.offset & comp.full):
+                yield comp, part
+
+
 def test_repair_count_equals_enumeration():
-    """The memoized counter agrees with the enumerating generator on every component.
+    """The memoized counter agrees with the enumerating generator on every connected part.
 
     One evaluator serves all submasks of an instance, so later counts hit
-    memo entries that earlier components left behind.
+    memo entries that earlier parts left behind.
     """
     for db, fds, masks in _count_test_instances():
         engine = CoalitionEvaluator(db, fds)
         for mask in masks:
             expected = 1
-            for comp in engine._components(mask):
-                expected *= len(list(engine._maximal_independent_sets(comp)))
-            assert engine.repair_count(mask) == expected
-        # enumerate_repairs walks the whole relation at once, not per component.
-        assert engine.repair_count(engine.full_mask) == len(enumerate_repairs(db, fds).repairs)
+            for comp, part in _parts(engine, [mask]):
+                expected *= sum(1 for _ in engine._extend_mis(comp, 0, part, 0, [0]))
+            assert engine.value(MeasureKind.MC, mask) == expected
+        assert engine.value(MeasureKind.MC, engine.full_mask) == len(enumerate_repairs(db, fds).repairs)
 
 
 def test_repair_count_fits_the_enumeration_budget():
-    """A count never needs more nodes than the enumeration of the same component.
+    """A count never needs more nodes than the enumeration of the same connected part.
 
     Every node of the budget is a memo miss, and every memo miss is a node.
     """
     for db, fds, masks in _count_test_instances():
         engine = CoalitionEvaluator(db, fds)
-        components = {comp for mask in list(masks)[:40] for comp in engine._components(mask)}
-        for comp in sorted(components):
+        parts = {(comp.offset, part) for comp, part in _parts(engine, list(masks)[:40])}
+        for offset, part in sorted(parts):
             nodes = [0]
-            expected = sum(1 for _ in engine._extend_mis(0, comp, 0, nodes))
+            expected = sum(1 for _ in engine._extend_mis(engine.comp_of[offset], 0, part, 0, nodes))
             bounded = CoalitionEvaluator(db, fds, budget=nodes[0])
-            assert bounded.repair_count(comp) == expected
+            assert bounded.value(MeasureKind.MC, part << offset) == expected
             spent = [0]
-            assert bounded._count_mis(comp, 0, spent) == expected and spent == [0]
+            assert bounded._count_mis(bounded.comp_of[offset], part, 0, spent) == expected
+            assert spent == [0]
             fresh = CoalitionEvaluator(db, fds)
-            fresh._count_mis(comp, 0, spent)
-            assert spent[0] == len(fresh._mis_memo) <= nodes[0]
-            if comp.bit_count() > 1:  # a connected component with an edge
+            fresh._count_mis(fresh.comp_of[offset], part, 0, spent)
+            assert spent[0] == len(fresh.comp_of[offset].mis_memo) <= nodes[0]
+            if part.bit_count() > 1:  # a connected part with an edge
                 with pytest.raises(
                     BudgetExceededError, match="^repair enumeration exceeded the node budget of 0$"
                 ):
-                    CoalitionEvaluator(db, fds, budget=0).repair_count(comp)
+                    CoalitionEvaluator(db, fds, budget=0).value(MeasureKind.MC, part << offset)
+
+
+def test_the_empty_set_is_one_cover_memo_entry():
+    """A cover search that empties its mask spends a node on the empty set
+    only the first time, whichever component the search is in."""
+    schema = Schema.from_dict({"R": ["A", "B"]})
+    fds = FDSet(schema, (FD("R", frozenset({"A"}), frozenset({"B"})),))
+    db = Database.build(schema, {"R": [("a", "1"), ("a", "2"), ("b", "1"), ("b", "2")]})
+    with pytest.raises(
+        BudgetExceededError, match="^vertex-cover search exceeded the node budget of 1$"
+    ):
+        bounded = CoalitionEvaluator(db, fds, budget=1)
+        bounded.value(MeasureKind.R, bounded.mask_of(["R:0", "R:1"]))
+    engine = CoalitionEvaluator(db, fds, budget=2)
+    assert engine.value(MeasureKind.R, engine.mask_of(["R:0", "R:1"])) == 1
+    engine.budget = 1
+    assert engine.value(MeasureKind.R, engine.mask_of(["R:2", "R:3"])) == 1
 
 
 def _region_test_instances():
@@ -276,5 +301,3 @@ def test_region_step_equals_direct_evaluation():
         for mask in [rng.getrandbits(n) for _ in range(40)] + [engine.full_mask]:
             for kind in MeasureKind:
                 assert engine.value(kind, mask) == fresh.value(kind, mask)
-            assert engine.repair_cost(mask) == fresh.repair_cost(mask)
-            assert engine.repair_count(mask) == fresh.repair_count(mask)
