@@ -39,10 +39,7 @@ from .exact import (
     shapley_all,
     shapley_drastic,
     shapley_exact,
-    shapley_mc,
     shapley_mi,
-    shapley_p,
-    shapley_r,
 )
 from .fd_analysis import (
     TractabilityClass,
@@ -72,7 +69,6 @@ from .measures import (
 from .oracle import (
     OracleLimits,
     shapley_bruteforce_all,
-    shapley_bruteforce_perms,
     shapley_bruteforce_subsets,
 )
 from .relational import (

@@ -495,13 +495,13 @@ class Game:
             chain = self.classes[0][relation]
             root = build_tree(self.db.facts_of(relation), chain, self.db.schema).root
             units = self._units[relation] = root.children if chain else [root]
-            self._fulls.update((unit, self._sums(unit)) for unit in units)
+            self._fulls.update((unit, self._sums(self._shapes.shape(unit))) for unit in units)
         return self._units[relation]
 
-    def _sums(self, unit: Vertex, out: Fact | None = None) -> list[int]:
-        """Per-size sums of the unit less `out`, as they combine over units: consistent
+    def _sums(self, shape: int) -> list[int]:
+        """Per-size sums of a unit's shape, as they combine over units: consistent
         subset counts (drastic), summed repair counts (mc) or summed costs (r)."""
-        counts = self._shapes.fold(unit, out)
+        counts = self._shapes.tables[shape]
         if self.kind is MeasureKind.R:
             return [sum((j - k) * c for k, c in enumerate(row)) for j, row in enumerate(counts)]
         return counts
@@ -542,18 +542,18 @@ class Game:
         values, by_shape = [], {}
         for fact in facts:
             u = unit_of[fact]
-            key = (u, self._shapes.shape(units[u], fact))
-            if key not in by_shape:
+            shape = self._shapes.shape(units[u], fact)
+            if (u, shape) not in by_shape:
                 full = fulls[u]
-                without = self._sums(units[u], fact) + [0]
+                without = self._sums(shape) + [0]
                 # The with-fact identity on sums: S + f over size-j subsets S of
                 # B - f sums to full[j+1] - without[j+1].
                 gain = (full[j + 1] - without[j + 1] - without[j] for j in range(len(without) - 1))
                 scale, denominator = weights[u]
                 value = Fraction(sum(w * g for w, g in zip(scale, gain)), denominator)
                 # Drastic gains in consistent counts are minus the measure's gains.
-                by_shape[key] = -value if kind is MeasureKind.DRASTIC else value
-            values.append(by_shape[key])
+                by_shape[u, shape] = -value if kind is MeasureKind.DRASTIC else value
+            values.append(by_shape[u, shape])
         return values
 
     def total(self) -> int:
@@ -605,27 +605,6 @@ def shapley_mi(db: Database, fds: FDSet, fact: Fact) -> Fraction:
     return shapley_exact(db, fds, fact, MeasureKind.MI)
 
 
-def shapley_p(db: Database, fds: FDSet, fact: Fact) -> Fraction:
-    """Attribution under the problematic-fact count (facts in any violation)."""
-    return shapley_exact(db, fds, fact, MeasureKind.P)
-
-
 def shapley_drastic(db: Database, fds: FDSet, fact: Fact) -> Fraction:
     """Attribution under the 0/1 inconsistency indicator (lhs chains only)."""
     return shapley_exact(db, fds, fact, MeasureKind.DRASTIC)
-
-
-def shapley_mc(db: Database, fds: FDSet, fact: Fact) -> Fraction:
-    """Attribution under the repair count (lhs chains only)."""
-    return shapley_exact(db, fds, fact, MeasureKind.MC)
-
-
-def shapley_r(db: Database, fds: FDSet, fact: Fact) -> Fraction:
-    """Attribution under cardinality-repair cost, within the fact's unit.
-
-    The cost is additive over units and a fact is a null player in every
-    other unit's summand, so the value over the whole database equals the
-    value computed within the fact's unit (its relation must have an lhs
-    chain up to equivalence).
-    """
-    return shapley_exact(db, fds, fact, MeasureKind.R)

@@ -96,8 +96,6 @@ class CoalitionEvaluator:
         if db.schema != fds.schema:
             raise SchemaError("database and FD set are over different schemas")
         check_budget(budget)
-        self.db = db
-        self.fds = fds
         self.budget = budget
         self.graphs = build_conflict_graph(db, fds)
         load = {fact.id: k for k, fact in enumerate(db.facts)}

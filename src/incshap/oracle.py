@@ -2,9 +2,10 @@
 
 Two exact, algebraically equal routes are the ground truth for every other
 algorithm: the weighted sum over all coalitions and the average marginal
-over all permutations.  A call is one pass that evaluates each coalition or
-permutation once for all requested facts, and only through
-``CoalitionEvaluator.value``, never the sampler's ``value_with``.
+over all permutations.  A call evaluates each of the 2^n coalitions once,
+only through ``CoalitionEvaluator.value`` (never the sampler's
+``value_with``), into one table of 2^n ints; both routes are arithmetic
+over that table for all requested facts.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import compress, cycle, permutations
 from math import factorial
+from operator import mul
 
 from .errors import InputError, OracleLimitError
 from .measures import CoalitionEvaluator, MeasureKind
@@ -37,10 +39,14 @@ def shapley_bruteforce_all(
     db: Database, fds: FDSet, facts: Sequence[Fact], kind: MeasureKind, form: str = "subsets",
     limits: OracleLimits = DEFAULT_LIMITS, engine: CoalitionEvaluator | None = None,
 ) -> list[Fraction]:
-    """Exact values of ``facts``, in order.  Subsets: with w(m) = m!(n-1-m)!, each
-    coalition T counts w(|T|-1)·v(T) for the facts in T and -w(|T|)·v(T) for the
-    others, summed by size.  Perms: each walk carries the prefix value from the
-    first requested fact to the last.  A prebuilt ``engine`` shares its memos."""
+    """Exact values of ``facts``, in order.
+
+    One table holds v(T) for each of the 2^n coalitions T, so a call keeps
+    2^n ints in memory, and both forms only read it.  Subsets: for each
+    requested fact i, gains[m] sums v(T + i) - v(T) over the size-m
+    coalitions T without i, and n!·value = Σ_m m!(n-1-m)!·gains[m].  Perms:
+    every permutation adds v(prefix + i) - v(prefix) to each requested i.
+    A prebuilt ``engine`` shares its memos."""
     if form == "subsets":
         limit, limit_name = limits.max_facts_subsets, "subset-enumeration"
     elif form == "perms":
@@ -57,37 +63,23 @@ def shapley_bruteforce_all(
         )
     if engine is None:
         engine = CoalitionEvaluator(db, fds)
+    values = [engine.value(kind, mask) for mask in range(1 << n)]
     totals = {engine.bit_of[fact.id]: 0 for fact in facts}
     if form == "subsets":
-        by_size = [0] * (n + 1)  # Σ v(T) over the coalitions T of each size
-        inside = {i: [0] * (n + 1) for i in totals}  # the same over T containing i
-        for mask in range(1 << n):
-            value = engine.value(kind, mask)
-            if value:
-                m = mask.bit_count()
-                by_size[m] += value
-                for i, row in inside.items():
-                    if mask >> i & 1:
-                        row[m] += value
-        w = [factorial(m) * factorial(n - m - 1) for m in range(n)] + [0]
-        for i, row in inside.items():
-            totals[i] = sum(w[m - 1] * row[m] - w[m] * (by_size[m] - row[m]) for m in range(n + 1))
+        w = [factorial(m) * factorial(n - 1 - m) for m in range(n)]
+        for i in totals:
+            bit, gains = 1 << i, [0] * n
+            # the masks without bit i: runs of `bit` masks in, `bit` out
+            for mask in compress(range(1 << n), cycle((True,) * bit + (False,) * bit)):
+                gains[mask.bit_count()] += values[mask | bit] - values[mask]
+            totals[i] = sum(map(mul, w, gains))
     else:
         for perm in permutations(range(n)):
-            mask, prefix, pending = 0, None, len(totals)
+            mask = 0
             for i in perm:
-                if prefix is None and i in totals:
-                    prefix = engine.value(kind, mask)
-                mask |= 1 << i
-                if prefix is None:
-                    continue
-                value = engine.value(kind, mask)
                 if i in totals:
-                    totals[i] += value - prefix
-                    pending -= 1
-                    if not pending:
-                        break
-                prefix = value
+                    totals[i] += values[mask | 1 << i] - values[mask]
+                mask |= 1 << i
     return [Fraction(totals[engine.bit_of[fact.id]], factorial(n)) for fact in facts]
 
 
@@ -97,11 +89,3 @@ def shapley_bruteforce_subsets(
 ) -> Fraction:
     """Exact weighted sum over every coalition: the one-fact subsets pass."""
     return shapley_bruteforce_all(db, fds, [fact], kind, "subsets", limits, engine)[0]
-
-
-def shapley_bruteforce_perms(
-    db: Database, fds: FDSet, fact: Fact, kind: MeasureKind,
-    limits: OracleLimits = DEFAULT_LIMITS, engine: CoalitionEvaluator | None = None,
-) -> Fraction:
-    """Exact average marginal contribution over all |D|! permutations."""
-    return shapley_bruteforce_all(db, fds, [fact], kind, "perms", limits, engine)[0]

@@ -29,10 +29,7 @@ from incshap import (
     shapley_bruteforce_subsets,
     shapley_drastic,
     shapley_exact,
-    shapley_mc,
     shapley_mi,
-    shapley_p,
-    shapley_r,
 )
 from incshap.errors import BudgetExceededError, InputError
 from incshap.block_tree import VertexKind
@@ -70,8 +67,8 @@ class TestClosedForms:
         assert shapley_mi(db, fds, g1) == half
         assert shapley_mi(db, fds, g2) == half
         assert shapley_mi(db, fds, g3) == 0
-        assert shapley_p(db, fds, g1) == 1
-        assert shapley_p(db, fds, g3) == 0
+        assert shapley_exact(db, fds, g1, MeasureKind.P) == 1
+        assert shapley_exact(db, fds, g3, MeasureKind.P) == 0
 
     def test_conflict_free_fact_is_zero(self, mini):
         db, fds = mini
@@ -86,7 +83,7 @@ class TestClosedForms:
 
     def test_trains_p_efficiency(self, trains):
         db, fds = trains
-        total = sum(shapley_p(db, fds, f) for f in db.facts)
+        total = sum(shapley_exact(db, fds, f, MeasureKind.P) for f in db.facts)
         assert total == 9
 
     def test_unknown_fact_rejected(self, mini):
@@ -303,16 +300,16 @@ class TestTreeShapley:
         db, fds = mini
         g1, g2, g3 = db.facts
         assert shapley_drastic(db, fds, g1) == half
-        assert shapley_r(db, fds, g1) == half
-        assert shapley_mc(db, fds, g1) == half
-        for fn in (shapley_drastic, shapley_r, shapley_mc):
-            assert fn(db, fds, g3) == 0
+        assert shapley_exact(db, fds, g1, MeasureKind.R) == half
+        assert shapley_exact(db, fds, g1, MeasureKind.MC) == half
+        for kind in (MeasureKind.DRASTIC, MeasureKind.R, MeasureKind.MC):
+            assert shapley_exact(db, fds, g3, kind) == 0
 
     def test_trains_efficiency(self, trains):
         db, fds = trains
-        assert sum(shapley_r(db, fds, f) for f in db.facts) == 6
+        assert sum(shapley_exact(db, fds, f, MeasureKind.R) for f in db.facts) == 6
         assert sum(shapley_drastic(db, fds, f) for f in db.facts) == 1
-        assert sum(shapley_mc(db, fds, f) for f in db.facts) == 4
+        assert sum(shapley_exact(db, fds, f, MeasureKind.MC) for f in db.facts) == 4
 
     def test_efficiency_at_scale(self):
         """Values sum to I(D) - I(empty) on two lhs-chain relations of many
@@ -414,8 +411,8 @@ class TestOracleEquivalence:
             n = len(db)
             floor = Fraction(1, n * (n - 1))
             for fact in db.facts:
-                for fn in (shapley_drastic, shapley_r):
-                    value = fn(db, fds, fact)
+                for kind in (MeasureKind.DRASTIC, MeasureKind.R):
+                    value = shapley_exact(db, fds, fact, kind)
                     assert value == 0 or value >= floor
 
 

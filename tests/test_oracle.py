@@ -21,7 +21,6 @@ from incshap import (
     estimate_all,
     measure,
     shapley_bruteforce_all,
-    shapley_bruteforce_perms,
     shapley_bruteforce_subsets,
 )
 from incshap.cli import run_command
@@ -49,7 +48,7 @@ def test_mini_values(mini):
     g1 = db.facts[0]
     assert shapley_bruteforce_subsets(db, fds, g1, MeasureKind.MI) == Fraction(1, 2)
     assert shapley_bruteforce_subsets(db, fds, g1, MeasureKind.MC) == Fraction(1, 2)
-    assert shapley_bruteforce_perms(db, fds, g1, MeasureKind.DRASTIC) == Fraction(1, 2)
+    assert shapley_bruteforce_all(db, fds, [g1], MeasureKind.DRASTIC, "perms")[0] == Fraction(1, 2)
     assert shapley_bruteforce_subsets(db, fds, db.facts[2], MeasureKind.P) == 0
 
 
@@ -58,7 +57,7 @@ def test_single_fact_database():
     db = Database.build(schema, {"R": [("a", "1")]})
     fds = FDSet(schema, ())
     for kind in MeasureKind:
-        assert shapley_bruteforce_perms(db, fds, db.facts[0], kind) == 0
+        assert shapley_bruteforce_all(db, fds, db.facts, kind, "perms")[0] == 0
 
 
 def test_forms_agree_on_random_instances():
@@ -72,7 +71,7 @@ def test_forms_agree_on_random_instances():
         fact = rng.choice(db.facts)
         assert shapley_bruteforce_subsets(
             db, fds, fact, kind, engine=engine
-        ) == shapley_bruteforce_perms(db, fds, fact, kind, engine=engine)
+        ) == shapley_bruteforce_all(db, fds, [fact], kind, "perms", engine=engine)[0]
         # one pass for a shuffled selection with a repeat equals the per-fact values
         facts = rng.sample(db.facts, rng.randint(1, len(db))) + [fact]
         rng.shuffle(facts)
@@ -106,7 +105,7 @@ def test_size_limits(value_calls):
     with pytest.raises(OracleLimitError, match="limit of 5"):
         shapley_bruteforce_subsets(db, fds, db.facts[0], MeasureKind.MI, limits=limits)
     with pytest.raises(OracleLimitError):
-        shapley_bruteforce_perms(db, fds, db.facts[0], MeasureKind.MI, limits=limits)
+        shapley_bruteforce_all(db, fds, db.facts[:1], MeasureKind.MI, "perms", limits)
     with pytest.raises(InputError):
         OracleLimits(max_facts_subsets=0)
     with pytest.raises(InputError, match="form"):
@@ -143,9 +142,9 @@ def test_unknown_fact(mini):
 
 
 def test_one_pass_per_command(tmp_path, value_calls):
-    """`--all` evaluates each coalition once (2^n calls, as one `--fact` does),
-    and each permutation's prefixes once from the first requested fact to the
-    last (n + 1 calls for `--all`, 2 for one fact)."""
+    """Both forms fill one table with the value of each of the 2^n coalitions
+    and read every marginal from it, so `--all` and one `--fact` each make
+    exactly 2^n `value` calls, whichever the form."""
 
     def calls(argv):
         value_calls[0] = 0
@@ -167,6 +166,6 @@ def test_one_pass_per_command(tmp_path, value_calls):
     perms = ["--manifest", str(tmp_path / "manifest.json"), "oracle", "--measure", "mc",
              "--form", "perms"]
     count, report = calls(perms + ["--all"])
-    assert count <= 720 * 7 and len(report["facts"]) == 6
+    assert count == 2**6 and len(report["facts"]) == 6
     assert report["efficiency_check"] is True
-    assert calls(perms + ["--fact", "R:2"])[0] <= 2 * 720
+    assert calls(perms + ["--fact", "R:2"])[0] == 2**6
