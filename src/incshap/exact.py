@@ -76,10 +76,19 @@ its DP (block, or subblock/root join), its size and its children's tables.
 The block DPs sum or convolve over the children and the join convolves,
 all in exact integers, so the order of the children does not change a
 table: a shape is keyed by (DP, size, sorted child shape ids), interned to
-a small int and folded once.  Each vertex's full shape is kept, so a fold
-with f left out re-interns only f's path; off-path children, isomorphic
-siblings and units, and other facts' paths of the same shape hit the
-memo, and facts whose unit less f has one shape share one value.
+a small int and folded once.  Equal child ids form runs, so each distinct
+child table enters its parent's DP once, with its multiplicity m: a join
+raises it to the m-th power, and a block raises its "kept <= k" row to the
+m-th power (repair cost) or adds m times its sums (drastic, repair count).
+With a repeated child among at least four, a power product is one big
+integer product of packed integer powers (Kronecker substitution, with
+(size, kept) rows packed at stride size + 1); fewer or distinct factors
+multiply pairwise.  The full fold keeps each vertex's shape and parent and
+each fact's leaf, so a fold with f left out walks up from f's leaf and
+re-interns only f's path, reading every other child's shape from the full
+fold; isomorphic siblings and units, and other facts' paths of the same
+shape hit the memo, and facts whose unit less f has one shape share one
+value.
 
 The whole-database measure reads the same state.  The pair count is the
 conflict graph's edge count, the problematic-fact count its number of facts
@@ -96,7 +105,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import accumulate
+from itertools import accumulate, groupby
 from math import comb, factorial, prod
 from typing import Sequence
 
@@ -184,13 +193,45 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
                     out[i + j] += x * y
         return out
     width = (max(a) * max(b) * min(len(a), len(b))).bit_length() // 8 + 1
-    packed = _pack(a, width) * _pack(b, width)
-    data = packed.to_bytes(width * (len(a) + len(b) - 1), "little")
-    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+    return _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1)
 
 
 def _pack(coefficients: list[int], width: int) -> int:
     return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coefficients), "little")
+
+
+def _unpack(packed: int, width: int, length: int) -> list[int]:
+    data = packed.to_bytes(width * length, "little")
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+
+
+# A product of fewer factors than this, or with none repeated, multiplies
+# pairwise: packing two or three copies of small tables costs more than the
+# loops it saves.
+_POWER_MIN = 4
+
+
+def _pairwise(runs: list[tuple[list, int]]) -> bool:
+    factors = sum(m for _, m in runs)
+    return factors < _POWER_MIN or factors == len(runs)
+
+
+def _power_product(runs: list[tuple[list[int], int]]) -> list[int]:
+    """Product of polynomials t^m over (t, m) runs, non-negative coefficients.
+
+    One Kronecker-packed product of integer powers.  No coefficient exceeds
+    the product's value at 1, the product of sum(t)^m, which sizes the slot.
+    """
+    width = prod(sum(t) ** m for t, m in runs).bit_length() // 8 + 1
+    packed = prod(pow(_pack(t, width), m) for t, m in runs)
+    return _unpack(packed, width, sum(m * (len(t) - 1) for t, m in runs) + 1)
+
+
+def _product(runs: list[tuple[list[int], int]]) -> list[int]:
+    """Product of polynomials t^m over (t, m) runs."""
+    if _pairwise(runs):
+        return reduce(_convolve, (t for t, m in runs for _ in range(m)))
+    return _power_product(runs)
 
 
 def _binomials(n: int) -> list[int]:
@@ -200,19 +241,19 @@ def _binomials(n: int) -> list[int]:
 # -- drastic: consistent-subset counts
 
 
-def _consistent_block(n: int, children: list[list[int]]) -> list[int]:
+def _consistent_block(n: int, runs: list[tuple[list[int], int]]) -> list[int]:
     """Consistent subsets of a block lie inside a single subblock child."""
     table = [1] + [0] * n
-    for child in children:
+    for child, m in runs:
         for j in range(1, len(child)):
-            table[j] += child[j]
+            table[j] += m * child[j]
     return table
 
 
 # -- repair count: summed repair counts
 
 
-def _repair_sum_block(n: int, children: list[list[int]]) -> list[int]:
+def _repair_sum_block(n: int, runs: list[tuple[list[int], int]]) -> list[int]:
     """Summed repair counts of a block from its subblock children's.
 
     Each repair of a non-empty block subset lives in one non-empty child
@@ -220,9 +261,9 @@ def _repair_sum_block(n: int, children: list[list[int]]) -> list[int]:
     the empty subset carries its one (empty) repair (see the module notes).
     """
     table = [1] + [0] * n
-    for child in children:
+    for child, m in runs:
         for j, x in enumerate(_convolve([0, *child[1:]], _binomials(n + 1 - len(child)))):
-            table[j] += x
+            table[j] += m * x
     return table
 
 
@@ -251,20 +292,45 @@ def _convolve_rows(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return out
 
 
-def _kept_block(n: int, children: list[list[list[int]]]) -> list[list[int]]:
+def _product_rows(runs: list[tuple[list[list[int]], int]]) -> list[list[int]]:
+    """Join of t^m over (t, m) runs of fact sets that never conflict.
+
+    Few or distinct tables join pairwise.  Otherwise one packed power
+    product: entry (j, k) of a table is coefficient j * (s + 1) + k, with s
+    the joined size, so kept sizes never spill into the next size.
+    """
+    if _pairwise(runs):
+        return reduce(_convolve_rows, (t for t, m in runs for _ in range(m)))
+    size = sum(m * (len(t) - 1) for t, m in runs)
+    stride = size + 1
+    flat = [
+        ([c for row in t[:-1] for c in row + [0] * (stride - len(row))] + t[-1], m)
+        for t, m in runs
+    ]
+    out = _power_product(flat)
+    return [out[j * stride : j * stride + j + 1] for j in range(size + 1)]
+
+
+def _kept_block(n: int, runs: list[tuple[list[list[int]], int]]) -> list[list[int]]:
     """A block subset keeps its best subblock part: kept is the max over children.
 
     So a block subset keeps at most k facts iff every child part does, and
-    for each k the counts of "kept <= k" convolve over the children.  Each
+    for each k the counts of "kept <= k" multiply over the children, each
+    distinct child's row raised to its multiplicity (or, for few or no
+    repeated children, one row per child, multiplied pairwise).  Each
     child's "kept <= k" counts are prefix sums of its rows, built once.  No
     subset keeps more than the largest child, so k stops there.
     """
-    cumulative = [[list(accumulate(row)) for row in child] for child in children]
+    pairwise = _pairwise(runs)
+    if pairwise:
+        runs = [(child, 1) for child, m in runs for _ in range(m)]
+    counts = [m for _, m in runs]
+    cumulative = [[list(accumulate(row)) for row in child] for child, _ in runs]
     table = [[0] * (j + 1) for j in range(n + 1)]
     below = [0] * (n + 1)
-    for k in range(max(map(len, children))):
-        parts = ([row[min(k, j)] for j, row in enumerate(child)] for child in cumulative)
-        at_most = reduce(_convolve, parts)
+    for k in range(max(map(len, cumulative))):
+        parts = [[row[min(k, j)] for j, row in enumerate(child)] for child in cumulative]
+        at_most = reduce(_convolve, parts) if pairwise else _power_product(list(zip(parts, counts)))
         for j in range(k, n + 1):
             table[j][k] = at_most[j] - below[j]
         below = at_most
@@ -275,12 +341,12 @@ def _kept_block(n: int, children: list[list[list[int]]]) -> list[list[int]]:
 
 # Per measure: the table of a leaf of n facts (they agree on every
 # constrained attribute), of a block of n facts from its subblock children's
-# tables, and of two fact sets that never conflict (the children of a
-# subblock or of the root).
+# tables, and of fact sets that never conflict (the children of a subblock
+# or of the root).  Children come as (table, multiplicity) runs.
 _DPS = {
-    MeasureKind.DRASTIC: (_binomials, _consistent_block, _convolve),
-    MeasureKind.MC: (_binomials, _repair_sum_block, _convolve),
-    MeasureKind.R: (_kept_leaf, _kept_block, _convolve_rows),
+    MeasureKind.DRASTIC: (_binomials, _consistent_block, _product),
+    MeasureKind.MC: (_binomials, _repair_sum_block, _product),
+    MeasureKind.R: (_kept_leaf, _kept_block, _product_rows),
 }
 
 
@@ -289,9 +355,14 @@ class _Shapes:
 
     A shape is a leaf's size, or a vertex's DP (block, or subblock/root
     join), size and sorted child shapes; each is interned to a small int
-    and its table computed once.  Full folds are also kept per vertex, so a
-    fold with a fact left out re-interns only the vertices on its path.
-    Tables are shared by every vertex of their shape: no caller mutates one.
+    and its table computed once, from the runs of equal child shapes: each
+    distinct child table once, with its multiplicity.  A full fold keeps
+    each vertex's shape and parent and each fact's leaf, so a fold with a
+    fact left out re-interns only the vertices on the fact's path and reads
+    every other child's shape from the full fold.  A fact's leaf is the one
+    in the last tree folded that holds it, so leave-one-out folds need
+    each fact in one folded tree.  Tables are shared by every vertex of
+    their shape: no caller mutates one.
     """
 
     def __init__(self, dps: tuple):
@@ -299,23 +370,45 @@ class _Shapes:
         self.ids: dict[tuple, int] = {}
         self.tables: list = []
         self.full: dict[Vertex, int] = {}
+        self.parent: dict[Vertex, Vertex] = {}
+        self.leaf: dict[Fact, Vertex] = {}
 
     def shape(self, v: Vertex, out: Fact | None = None) -> int:
         """The shape id of v, or with `out` that of v's facts less it."""
-        if out is None and v in self.full:
+        if v not in self.full:
+            self._fold(v)
+        if out is None:
             return self.full[v]
-        size = v.size - (out is not None)
-        if v.is_leaf or not size:
-            key = (None, size, ())  # an emptied vertex folds to leaf(0)
+        # Walk up from out's leaf: each vertex on the path counts one fact
+        # fewer, and only its child on the path changes shape.
+        u, child, sid = self.leaf[out], None, None
+        while True:
+            size = u.size - 1
+            if child is None or not size:
+                key = (None, size, ())  # an emptied vertex folds to leaf(0)
+            else:
+                children = (sid if c is child else self.full[c] for c in u.children)
+                key = (u.kind is VertexKind.BLOCK, size, tuple(sorted(children)))
+            sid = self._intern(key)
+            if u is v:
+                return sid
+            child, u = u, self.parent[u]
+
+    def _fold(self, v: Vertex) -> None:
+        if v.is_leaf:
+            self.leaf.update(dict.fromkeys(v.facts, v))
+            key = (None, v.size, ())
         else:
-            children = (self.shape(c, out if out in c.facts else None) for c in v.children)
-            key = (v.kind is VertexKind.BLOCK, size, tuple(sorted(children)))
+            self.parent.update(dict.fromkeys(v.children, v))
+            children = tuple(sorted(self.shape(c) for c in v.children))
+            key = (v.kind is VertexKind.BLOCK, v.size, children)
+        self.full[v] = self._intern(key)
+
+    def _intern(self, key: tuple) -> int:
         sid = self.ids.get(key)
         if sid is None:
             sid = self.ids[key] = len(self.tables)
             self.tables.append(self._table(key))
-        if out is None:
-            self.full[v] = sid
         return sid
 
     def _table(self, key: tuple) -> list:
@@ -323,8 +416,8 @@ class _Shapes:
         is_block, size, children = key
         if is_block is None:
             return leaf(size)
-        tables = [self.tables[c] for c in children]
-        return block(size, tables) if is_block else reduce(join, tables)
+        runs = [(self.tables[c], len(list(group))) for c, group in groupby(children)]
+        return block(size, runs) if is_block else join(runs)
 
     def fold(self, v: Vertex, out: Fact | None = None) -> list:
         return self.tables[self.shape(v, out)]

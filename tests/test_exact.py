@@ -33,7 +33,18 @@ from incshap import (
 )
 from incshap.errors import BudgetExceededError, InputError
 from incshap.block_tree import VertexKind
-from incshap.exact import _DPS, Game, _Shapes
+from incshap.exact import (
+    _DPS,
+    Game,
+    _Shapes,
+    _consistent_block,
+    _convolve,
+    _convolve_rows,
+    _kept_block,
+    _product,
+    _product_rows,
+    _repair_sum_block,
+)
 from incshap.fd_analysis import TractabilityKind
 
 from conftest import (
@@ -744,13 +755,14 @@ class TestLeaveOneOutFold:
 
 
 def _plain_fold(v, dps, out=None):
-    """The chain DPs bottom-up with no memo: the reference for the shape memo."""
+    """The chain DPs bottom-up with no memo and no grouping, every child its
+    own run of one: the reference for the shape memo."""
     leaf, block, join = dps
     size = v.size - (out is not None)
     if v.is_leaf:
         return leaf(size)
-    children = [_plain_fold(c, dps, out if out in c.facts else None) for c in v.children]
-    return block(size, children) if v.kind is VertexKind.BLOCK else functools.reduce(join, children)
+    children = [(_plain_fold(c, dps, out if out in c.facts else None), 1) for c in v.children]
+    return block(size, children) if v.kind is VertexKind.BLOCK else join(children)
 
 
 class TestShapeMemo:
@@ -780,13 +792,14 @@ class TestShapeMemo:
 
     def test_dp_calls_grow_linearly_in_the_block(self, monkeypatch):
         """Every leave-one-out fold of ("a", b in 2, c in k, d in 2) has one
-        shape, so r's block and join calls grow with k, not with k squared."""
+        shape, so r's block and join work, the children their calls fold,
+        grows with k, not with k squared."""
         leaf, block, join = _DPS[MeasureKind.R]
-        calls = []
+        children = []
 
         def counting(dp):
             def counted(*args):
-                calls.append(dp)
+                children.append(sum(m for _, m in args[-1]))
                 return dp(*args)
 
             return counted
@@ -795,7 +808,69 @@ class TestShapeMemo:
         counts = {}
         for k in (8, 16):
             db, fds = _one_block_instance(k)
-            calls.clear()
+            children.clear()
             shapley_all(db, fds, db.facts, MeasureKind.R)
-            counts[k] = len(calls)
+            counts[k] = sum(children)
         assert counts[16] <= 2 * counts[8], counts
+
+    def test_values_make_no_membership_scans(self, monkeypatch):
+        """A leave-one-out fold walks the fact's path from its leaf: on the
+        64-fact block, `Game.values` compares each fact at most once."""
+        eq = Fact.__eq__
+        calls = []
+
+        def counted(self, other):
+            calls.append(self)
+            return eq(self, other)
+
+        db, fds = _one_block_instance(16)
+        monkeypatch.setattr(Fact, "__eq__", counted)
+        for kind in self.KINDS:
+            calls.clear()
+            Game(db, fds, kind).values(db.facts)
+            assert len(calls) <= len(db.facts), (kind, len(calls))
+
+
+def _random_table(rng, size, rows):
+    """A table of `size` facts with random 40-bit entries and entry 0 = 1:
+    per-size counts, or (size, kept) rows when `rows`."""
+    if rows:
+        return [[1]] + [[rng.getrandbits(40) for _ in range(j + 1)] for j in range(1, size + 1)]
+    return [1] + [rng.getrandbits(40) for _ in range(size)]
+
+
+class TestPackedProducts:
+    """Grouped children (one table per distinct child, with its multiplicity)
+    against the pairwise kernels given one copy per child."""
+
+    @staticmethod
+    def _runs(rng, sizes, rows, most=3):
+        """One to `most` distinct tables, each repeated 1 to 50 times, with
+        entries of up to 40 bits: wider than 2^n for every table size n, so a
+        slot width taken from sizes would overflow."""
+        runs = [
+            (_random_table(rng, rng.choice(sizes), rows), rng.randint(1, 50))
+            for _ in range(rng.randint(1, most))
+        ]
+        return runs, [t for t, m in runs for _ in range(m)]
+
+    def test_joins_equal_pairwise_products(self):
+        rng = random.Random(1818)
+        for trial in range(30):
+            runs, expanded = self._runs(rng, (1, 2, 4), rows=False)
+            assert _product(runs) == functools.reduce(_convolve, expanded), trial
+        for trial in range(6):
+            runs, expanded = self._runs(rng, (1,), rows=True, most=2)
+            assert _product_rows(runs) == functools.reduce(_convolve_rows, expanded), trial
+
+    def test_blocks_equal_one_copy_per_child(self):
+        rng = random.Random(1819)
+        for block, rows, trials in (
+            (_consistent_block, False, 30),
+            (_repair_sum_block, False, 30),
+            (_kept_block, True, 6),
+        ):
+            for trial in range(trials):
+                runs, expanded = self._runs(rng, (1, 2), rows)
+                n = sum(len(t) - 1 for t in expanded)
+                assert block(n, runs) == block(n, [(t, 1) for t in expanded]), (trial, block)
