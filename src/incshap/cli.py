@@ -10,6 +10,7 @@ emitted as machine-readable JSON objects on standard output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -55,7 +56,9 @@ def _budget(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="incshap", description=__doc__)
     parser.add_argument("--manifest", required=True, help="instance manifest (JSON)")
     sub = parser.add_subparsers(dest="command", required=True)

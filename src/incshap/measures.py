@@ -20,16 +20,15 @@ mc value of each local mask in memos of its own: a search memo can hold a
 disconnected mask whose connected parts were never searched, and reading
 it would spend fewer nodes than the split into parts that ``value`` does.
 
-The sampler grows a coalition one fact i at a time.  Facts outside i's
-component never change the r or mc marginal, so a step evaluates only i's
-region, the coalition's part in that component, and the grown region with
-i.  Both are memoized as whole local masks: cover size and repair count of
-a disconnected mask are the sum and product over its connected parts, so
-these entries agree with every other key (a count key with excluded facts
-is at least 2**size and never collides).  A minimum cover of the grown
-region either takes i or takes every neighbour of i, so an r miss searches
-only the region less i's neighbours.  Each miss on a grown region is one
-budget node.
+The sampler grows a coalition one fact i at a time and keeps the
+coalition's connected parts with their measures (``split`` values the
+parts of a coalition the walk starts from).  Adding i merges the parts it
+touches into one, and ``part_value`` values only that part.  d, mi and p
+need only arithmetic on it.  r and mc read the part's entry in the search
+memos, the key its own search fills, and a miss is one search on a node
+counter of its own.  A minimum cover of the joined part either takes i or
+takes every neighbour of i, so an r miss spends one node and searches only
+the part less i and its neighbours.
 """
 
 from __future__ import annotations
@@ -66,13 +65,17 @@ class _Component:
     """One conflict component on local bits: local bit j is the evaluator's
     bit ``offset + j``, and the component's facts keep their load order."""
 
-    __slots__ = ("offset", "size", "full", "adj", "vc_memo", "mis_memo", "costs", "counts")
+    __slots__ = (
+        "offset", "size", "full", "adj", "nonadj", "vc_memo", "mis_memo", "costs", "counts"
+    )
 
     def __init__(self, offset: int, adj: list[int]):
         self.offset = offset
         self.size = len(adj)
         self.full = (1 << self.size) - 1
         self.adj = adj  # neighbours of each local bit, as a local mask
+        # the other local bits that are not neighbours, for the repair searches
+        self.nonadj = [self.full & ~a & ~(1 << j) for j, a in enumerate(adj)]
         self.vc_memo: dict[int, int] = {}  # cover size per nonempty local mask
         self.mis_memo: dict[int, int] = {}  # repair count per state P | X << size
         self.costs: dict[int, int] = {}  # r, as ``value`` reads it, per local mask
@@ -191,6 +194,55 @@ class CoalitionEvaluator:
                 problematic += 1
         return pairs // 2 if kind is _MI else problematic
 
+    def split(self, kind: MeasureKind, mask: int, parts: dict) -> int:
+        """The measure of the coalition ``mask``, putting each of its
+        connected parts and the part's measure in ``parts[comp]``, a dict
+        for each component ``comp`` it meets."""
+        product = kind is _MC
+        total = 1 if product else 0
+        while mask:
+            comp = self.comp_of[(mask & -mask).bit_length() - 1]
+            local = mask >> comp.offset & comp.full
+            mask &= ~(comp.full << comp.offset)
+            own = parts[comp]
+            for part in self._components(comp, local):
+                own[part] = value = self.part_value(kind, comp, part)
+                total = total * value if product else total + value
+        return min(total, 1) if kind is _D else total
+
+    def part_value(
+        self, kind: MeasureKind, comp: _Component, part: int, i: int = -1, old: int = 0
+    ) -> int:
+        """The measure of ``part``, a connected local mask of ``comp``.
+
+        Given local fact ``i``, ``part`` joins i to parts of measure ``old``
+        (their product for mc, else their sum).  r and mc read the search
+        memos, and a miss is one search on a node counter of its own.  A
+        minimum cover of ``part`` takes i or every neighbour of i, so with i
+        an r miss spends one node and searches only ``part`` less i and its
+        neighbours.
+        """
+        if kind is _R:
+            if i < 0:
+                return self._vc(comp, part)
+            cost = comp.vc_memo.get(part)
+            if cost is None:
+                nodes = [0]
+                self._spend(nodes, "vertex-cover search")
+                adj = comp.adj[i]
+                rest = self._cost(comp, part & ~adj & ~(1 << i), nodes)
+                cost = comp.vc_memo[part] = min(old + 1, (adj & part).bit_count() + rest)
+            return cost
+        if kind is _MC:
+            return self._count_mis(comp, part, 0, [0])
+        if not part & part - 1:
+            return 0  # one fact alone conflicts with nothing
+        if kind is _MI:
+            if i < 0:
+                return self._local_value(kind, comp, part)
+            return old + (comp.adj[i] & part).bit_count()
+        return part.bit_count() if kind is _P else 1
+
     def _components(self, comp: _Component, mask: int):
         """The connected parts of the local mask ``mask`` of ``comp``."""
         adj = comp.adj
@@ -258,72 +310,34 @@ class CoalitionEvaluator:
         """Number of repairs ``_extend_mis`` would yield from this state, without yielding them."""
         if not candidates:
             return 0 if excluded else 1
-        key = candidates | excluded << comp.size
-        count = comp.mis_memo.get(key)
+        memo = comp.mis_memo
+        size = comp.size
+        key = candidates | excluded << size
+        count = memo.get(key)
         if count is not None:
             return count
         self._spend(nodes, "repair enumeration")
-        adj = comp.adj
-        branch = _pivot_branches(adj, candidates, excluded)
+        nonadj = comp.nonadj
+        branch = _pivot_branches(comp, candidates, excluded)
         count = 0
         while branch:
             bit = branch & -branch
             branch ^= bit
-            nonadj = ~adj[bit.bit_length() - 1] & ~bit
-            count += self._count_mis(comp, candidates & nonadj, excluded & nonadj, nodes)
-            candidates &= ~bit
+            rest = nonadj[bit.bit_length() - 1]
+            sub_candidates = candidates & rest
+            sub_excluded = excluded & rest
+            if sub_candidates:
+                # the child's memo entry, read here to save a call on a hit
+                sub = memo.get(sub_candidates | sub_excluded << size)
+                if sub is None:
+                    sub = self._count_mis(comp, sub_candidates, sub_excluded, nodes)
+                count += sub
+            elif not sub_excluded:
+                count += 1
+            candidates ^= bit
             excluded |= bit
-        comp.mis_memo[key] = count
+        memo[key] = count
         return count
-
-    def value_with(self, kind: MeasureKind, mask: int, value: int, i: int) -> int:
-        """Value of ``mask | 1 << i``, given ``value``, the value of ``mask`` (i not in mask).
-
-        For r and mc only i's region, the part of ``mask`` in i's component,
-        can change.  The region and ``grown``, the region with i, are
-        memoized as whole local masks, and a step that finds both returns
-        at once.  A minimum cover of ``grown`` takes i or every neighbour of
-        i, so an r miss on ``grown`` searches only the region less i's
-        neighbours; an mc miss counts the repairs of the part i joins.  A
-        miss on ``grown`` is one node of a per-step counter that its r
-        sub-searches share.
-        """
-        comp = self.comp_of[i]
-        region = mask >> comp.offset & comp.full
-        i -= comp.offset
-        adj = comp.adj
-        touching = adj[i] & region
-        if kind is _D:
-            return 1 if value or touching else 0
-        if kind is _MI:
-            return value + touching.bit_count()
-        if kind is _P:
-            newly = sum(1 for h in self._bits(touching) if not adj[h] & region)
-            return value + (1 if touching else 0) + newly
-        if kind is not _R and kind is not _MC:
-            raise ValueError(f"unknown measure kind {kind!r}")
-        if not touching:
-            return value
-        grown = region | 1 << i
-        if kind is _R:
-            memo = comp.vc_memo
-            before, after = memo.get(region), memo.get(grown)
-            if before is None or after is None:
-                nodes = [0]
-                if before is None:
-                    before = self._cost(comp, region, nodes)
-                if after is None:
-                    self._spend(nodes, "vertex-cover search")
-                    rest = self._cost(comp, region & ~adj[i], nodes)
-                    after = memo[grown] = min(before + 1, touching.bit_count() + rest)
-            return value - before + after
-        memo = comp.mis_memo
-        before, after = memo.get(region), memo.get(grown)
-        if before is None:
-            before = memo[region] = self._local_value(kind, comp, region)
-        if after is None:
-            after = memo[grown] = self._local_value(kind, comp, grown)
-        return value // before * after
 
     def _extend_mis(self, comp: _Component, current: int, candidates: int, excluded: int, nodes: list):
         """Pivoting enumeration of the repairs of a local mask (clique search on
@@ -335,33 +349,34 @@ class CoalitionEvaluator:
         if not candidates and not excluded:
             yield current
             return
-        adj = comp.adj
-        for i in self._bits(_pivot_branches(adj, candidates, excluded)):
+        nonadj = comp.nonadj
+        for i in self._bits(_pivot_branches(comp, candidates, excluded)):
             bit = 1 << i
-            nonadj = ~adj[i] & ~bit
+            rest = nonadj[i]
             yield from self._extend_mis(
-                comp, current | bit, candidates & nonadj, excluded & nonadj, nodes
+                comp, current | bit, candidates & rest, excluded & rest, nodes
             )
             candidates &= ~bit
             excluded |= bit
 
 
-def _pivot_branches(adj: list[int], candidates: int, excluded: int) -> int:
+def _pivot_branches(comp: _Component, candidates: int, excluded: int) -> int:
     """The candidates to branch on: the pivot and its candidate neighbors.
 
     The pivot is the vertex of candidates | excluded with the most
     non-neighbors among the candidates; counting and enumeration share it.
     """
+    nonadj = comp.nonadj
     pivot, best = -1, -1
     rest = candidates | excluded
     while rest:
         low = rest & -rest
         rest ^= low
         i = low.bit_length() - 1
-        gain = (candidates & ~adj[i] & ~low).bit_count()
+        gain = (candidates & nonadj[i]).bit_count()
         if gain > best:
             pivot, best = i, gain
-    return candidates & (adj[pivot] | 1 << pivot)
+    return candidates & ~nonadj[pivot]
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 Two exact, algebraically equal routes are the ground truth for every other
 algorithm: the weighted sum over all coalitions and the average marginal
 over all permutations.  A call evaluates each of the 2^n coalitions once,
-only through ``CoalitionEvaluator.value`` (never the sampler's
-``value_with``), into one table of 2^n ints; both routes are arithmetic
-over that table for all requested facts.
+only through ``CoalitionEvaluator.value`` (never the sampler's part
+steps), into one table of 2^n ints; both routes are arithmetic over that
+table for all requested facts.
 """
 
 from __future__ import annotations

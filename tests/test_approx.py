@@ -235,6 +235,13 @@ class TestSharedWalk:
             per_fact = [estimate_shapley(db, fds, f, kind, params) for f in facts]
             assert estimate_all(db, fds, facts, kind, params) == per_fact
 
+    def test_no_requested_fact(self, trains):
+        schema = trains[0].schema
+        params = ApproxParams(0.1, 0.05, samples_override=3)
+        for kind in MeasureKind:
+            assert estimate_all(*trains, [], kind, params) == []
+            assert estimate_all(Database.build(schema, {}), trains[1], [], kind, params) == []
+
     def test_one_draw_per_sample_index(self, trains, monkeypatch):
         db, fds = trains
         draws = []
@@ -254,21 +261,40 @@ class TestSharedWalk:
 
 @pytest.mark.parametrize("kind", list(MeasureKind))
 def test_value_with_matches_value_along_random_orders(kind):
+    """The walk's marginals are those of ``value`` on a fresh evaluator.
+
+    Each seed's one permutation is walked from a random start: the facts
+    before it only grow regions, one split values their connected parts,
+    and each later fact is one part step.  The walks of an instance share
+    one evaluator, so later ones read memo entries that earlier ones left.
+    """
     rng = random.Random(77)
     for db, fds in referee_instances():
         engine = CoalitionEvaluator(db, fds)
-        for _ in range(5):
-            order = list(range(len(db)))
-            rng.shuffle(order)
+        referee = CoalitionEvaluator(db, fds)
+        for seed in range(5):
+            order = list(db.facts)
+            approx._sample_rng(seed, 0).shuffle(order)
             start = rng.randrange(len(order))
-            mask = 0
-            for i in order[:start]:
-                mask |= 1 << i
-            value = engine.value(kind, mask)
-            for i in order[start:]:
-                value = engine.value_with(kind, mask, value, i)
-                mask |= 1 << i
-                assert value == engine.value(kind, mask)
+            params = ApproxParams(0.1, 0.05, seed=seed, samples_override=1)
+            estimates = estimate_all(db, fds, order[start:], kind, params, engine=engine)
+            prefix = referee.mask_of(fact.id for fact in order[:start])
+            before = referee.value(kind, prefix)
+            for fact, estimate in zip(order[start:], estimates):
+                prefix |= referee.mask_of([fact.id])
+                after = referee.value(kind, prefix)
+                assert estimate.value == after - before
+                before = after
+
+
+def test_shuffle_is_random_shuffle():
+    """``_shuffle`` gives the permutation ``random.Random(seed).shuffle`` gives."""
+    for length in range(131):
+        for seed in range(200):
+            ours, theirs = list(range(length)), list(range(length))
+            approx._shuffle(random.Random(seed), ours)
+            random.Random(seed).shuffle(theirs)
+            assert ours == theirs, (length, seed)
 
 
 class _RecordingEvaluator(CoalitionEvaluator):

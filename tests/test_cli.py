@@ -362,6 +362,26 @@ def test_golden_approx_reports(m):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_APPROX_SHA256[m]
 
 
+# sha256 of `shapley --all --method approx` (seed 0) on the 120 clustered
+# facts of ``write_clustered_manifest``, recorded from the sampler that
+# re-split the whole region of each added fact into connected parts.
+GOLDEN_CLUSTERED_SHA256 = {
+    "d": "c5e4955f4298cdc554e5b8a2583f2298c020e6e4fe259e1bb843dcaa00efb2d9",
+    "r": "ee9bd73023a84d53d5a2e4329c2c081f50ea4797c1c67981b820dfcfe47fca66",
+    "mc": "a283f3da7ae8e5a915d7ccfe96e9bbba46ba9446296cc44eb377784903cb142e",
+}
+
+
+@pytest.mark.parametrize("m", sorted(GOLDEN_CLUSTERED_SHA256))
+def test_golden_clustered_approx_reports(tmp_path, m):
+    manifest = write_clustered_manifest(tmp_path)
+    code, out, _ = run(
+        ["--manifest", manifest, "shapley", "--measure", m, "--all", "--method", "approx"]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CLUSTERED_SHA256[m]
+
+
 # sha256 of exact `shapley --all` on Trains, recorded from the per-fact exact
 # engine that preceded the block-local one.
 GOLDEN_EXACT_SHA256 = {
@@ -393,6 +413,26 @@ def test_budget_checked_by_the_parser():
         assert "non-negative" in err
     code, out, err = run(["--manifest", TRAINS, "measure", "--measure", "r", "--budget", "x"])
     assert code == 1 and out == "" and "--budget must be an integer" in err
+
+
+def test_a_refused_parse_leaves_the_parser_as_built():
+    """The parser is built once per process: after a refused parse, a valid
+    command prints what it prints in a fresh process."""
+    argv = ["--manifest", TRAINS, "shapley", "--measure", "r", "--all",
+            "--method", "approx", "--seed", "3"]
+    code, out, err = run(argv + ["--budget", "-1"])
+    assert code == 1 and out == "" and "non-negative" in err
+    code, out, _ = run(argv)
+    assert code == 0
+    src = str(Path(incshap.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "incshap", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    assert out == fresh.stdout
 
 
 def test_measure_on_a_large_chain_component(tmp_path):

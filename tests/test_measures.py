@@ -277,26 +277,32 @@ def _region_test_instances():
 
 
 def test_region_step_equals_direct_evaluation():
-    """``value_with`` on r and mc matches a direct evaluation of the grown mask.
+    """``part_value`` on each connected part matches ``value`` on a fresh evaluator.
 
-    Every (mask, i not in mask) is walked twice on one evaluator, from a
-    cold memo and then warm; the expected values come from a separate
-    evaluator, so only region steps fill the memos under test.  Afterwards
-    the warmed evaluator still agrees with a fresh one on random masks.
+    Each connected part is valued as a split values it and as the step
+    that joins each of its facts i to the rest, given the measure of the
+    part less i.  Every such call runs twice on one evaluator, from a cold
+    memo and then warm; the expected values come from a separate evaluator,
+    so only part steps fill the memos under test.  Afterwards the warmed
+    evaluator still agrees with a fresh one on random masks.
     """
     rng, instances = _region_test_instances()
     for db, fds in instances:
         n = len(db)
-        reference = CoalitionEvaluator(db, fds)
-        steps = [(mask, i) for mask in range(1 << n) for i in range(n) if not mask >> i & 1]
-        rng.shuffle(steps)
+        referee = CoalitionEvaluator(db, fds)
         engine = CoalitionEvaluator(db, fds)
-        for kind in (MeasureKind.R, MeasureKind.MC):
-            expected = [reference.value(kind, mask) for mask in range(1 << n)]
+        steps = []  # (component, connected local mask, local fact or -1)
+        for comp in dict.fromkeys(engine.comp_of):
+            for part in range(1, comp.full + 1):
+                if list(engine._components(comp, part)) == [part]:
+                    steps += [(comp, part, i) for i in [-1, *engine._bits(part)]]
+        rng.shuffle(steps)
+        for kind in MeasureKind:
             for _ in range(2):
-                for mask, i in steps:
-                    got = engine.value_with(kind, mask, expected[mask], i)
-                    assert got == expected[mask | 1 << i]
+                for comp, part, i in steps:
+                    old = referee.value(kind, (part & ~(1 << i)) << comp.offset) if i >= 0 else 0
+                    got = engine.part_value(kind, comp, part, i, old)
+                    assert got == referee.value(kind, part << comp.offset)
         fresh = CoalitionEvaluator(db, fds)
         for mask in [rng.getrandbits(n) for _ in range(40)] + [engine.full_mask]:
             for kind in MeasureKind:
