@@ -6,8 +6,8 @@ measure from one shared state; `shapley_all` and `measure` are a fresh
 game's values and total, and `shapley_exact` is the one-fact case.
 
 The pair-count and problematic-fact measures are direct closed forms in
-conflict degree, read off one adjacency per relation (facts of other
-relations never conflict with a fact, so they are null players):
+conflict degree, within the fact's relation (facts of other relations never
+conflict with a fact, so they are null players):
 
 * pair count: the count is a sum over conflict edges of two-player
   unanimity games, each split evenly, so Sh_MI(f) = deg(f)/2.
@@ -16,6 +16,12 @@ relations never conflict with a fact, so they are null players):
   partner precedes it, and the game of each partner g when g precedes f
   and f is g's first partner to arrive, so
   Sh_P(f) = deg(f)/(deg(f)+1) + sum over g in N(f) of 1/(deg(g)(deg(g)+1)).
+
+Both come from group counts, with no conflict graph: `partner_sums` adds
+weights over conflict partners through a signed expansion over attribute
+sets (for A -> B, AC -> D, deg = |A| - |AB| + |ABC| - |ABCD|), and the sum
+over N(f) is one more such sum, of the integers L/(deg(g)(deg(g)+1)) with L
+their lcm, so each value is one Fraction.
 
 The drastic, repair-cost, and repair-count measures work on units.  In a
 relation whose FDs form an lhs chain every lhs contains the first one, so
@@ -90,9 +96,9 @@ fold; isomorphic siblings and units, and other facts' paths of the same
 shape hit the memo, and facts whose unit less f has one shape share one
 value.
 
-The whole-database measure reads the same state.  The pair count is the
-conflict graph's edge count, the problematic-fact count its number of facts
-with a partner.  Entry |B| of a unit's full sums is its consistency
+The whole-database measure reads the same state.  The pair count is half
+the summed degrees, the problematic-fact count the number of facts with a
+partner.  Entry |B| of a unit's full sums is its consistency
 (drastic), repair count or repair cost: the database is consistent iff
 every unit is, its repair count is the product of the units' and its
 repair cost the sum.  Each relation without an lhs chain goes to the
@@ -106,32 +112,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate, groupby
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 from typing import Sequence
 
 from .block_tree import BlockTree, Vertex, VertexKind, build_tree
 from .errors import BudgetExceededError, InputError, IntractableExactError, SchemaError
 from .fd_analysis import TractabilityKind, classify_relation
 from .measures import CoalitionEvaluator, MeasureKind, check_budget
-from .relational import Database, Fact, FDSet, build_conflict_graph
-
-
-# ---------------------------------------------------------------------------
-# Closed forms: violating-pair count and problematic-fact count
-
-
-def _mi_value(adjacency: dict[int, frozenset[int]], index: int) -> Fraction:
-    """Half the conflict degree."""
-    return Fraction(len(adjacency[index]), 2)
-
-
-def _p_value(adjacency: dict[int, frozenset[int]], index: int) -> Fraction:
-    """deg(f)/(deg(f)+1) plus 1/(deg(g)(deg(g)+1)) for every conflict partner g."""
-    partners = adjacency[index]
-    deg = len(partners)
-    return Fraction(deg, deg + 1) + sum(
-        Fraction(1, len(adjacency[g]) * (len(adjacency[g]) + 1)) for g in partners
-    )
+from .relational import Database, Fact, FDSet, partner_sums
 
 
 # ---------------------------------------------------------------------------
@@ -542,11 +530,12 @@ class Game:
     """One command's game: Shapley values of facts under `kind`, and the
     measure of the whole database, read off one shared state.
 
-    Each piece is built on first use and at most once: the conflict graph,
-    the tractability classes, one block tree per lhs-chain relation with its
-    units and their full sums in one shape memo, and the coalition
-    evaluator, which `budget` bounds.  A sampler or the oracle that walks
-    coalitions on `evaluator` leaves memos that the total then hits.
+    Each piece is built on first use and at most once: the conflict degrees
+    from group counts, the tractability classes, one block tree per
+    lhs-chain relation with its units and their full sums in one shape
+    memo, and the coalition evaluator, which `budget` bounds.  A sampler or
+    the oracle that walks coalitions on `evaluator` leaves memos that the
+    total then hits.
     """
 
     def __init__(self, db: Database, fds: FDSet, kind: MeasureKind, budget: int | None = None):
@@ -566,11 +555,23 @@ class Game:
         return CoalitionEvaluator(self.db, self.fds, budget=self.budget)
 
     @cached_property
-    def graphs(self) -> dict:
-        """The conflict graph of every relation: the evaluator's, once it exists."""
-        if "evaluator" in self.__dict__:
-            return self.evaluator.graphs
-        return build_conflict_graph(self.db, self.fds)
+    def degrees(self) -> dict[str, list[int]]:
+        """Each relation's conflict degrees, in load order, from group counts."""
+        return {
+            r: partner_sums(self.db, self.fds, r, [1] * len(self.db.facts_of(r)))
+            for r in self.db.schema.relation_names
+        }
+
+    def _closed(self, relation: str) -> list[Fraction]:
+        """The mi or p value of every fact of `relation`, in load order."""
+        degrees = self.degrees[relation]
+        if self.kind is MeasureKind.MI:
+            return [Fraction(d, 2) for d in degrees]
+        # Each partner's 1/(deg(deg+1)) as an integer over the lcm of those denominators.
+        scale = lcm(*{d * (d + 1) for d in degrees if d})
+        h = [scale // (d * (d + 1)) if d else 0 for d in degrees]
+        sums = partner_sums(self.db, self.fds, relation, h)
+        return [Fraction(d * scale + (d + 1) * s, (d + 1) * scale) for d, s in zip(degrees, sums)]
 
     @cached_property
     def classes(self) -> tuple[dict, dict]:
@@ -603,9 +604,10 @@ class Game:
         """Exact attributions of `facts`, in order; refuses intractable classes.
 
         The pair-count and problematic-fact measures work for every FD set
-        and read the conflict graph.  The drastic and repair-count measures
-        need an lhs chain (up to equivalence) for every relation holding
-        facts; repair cost needs one for the relations of `facts` only.  Each
+        and read group counts of the facts' relations.  The drastic and
+        repair-count measures need an lhs chain (up to equivalence) for every
+        relation holding facts; repair cost needs one for the relations of
+        `facts` only.  Each
         fact costs one more fold of its unit with the fact left out, which
         refolds only shapes the game has not met yet.
         """
@@ -614,8 +616,8 @@ class Game:
         if not facts:
             return []
         if kind is MeasureKind.MI or kind is MeasureKind.P:
-            closed = _mi_value if kind is MeasureKind.MI else _p_value
-            return [closed(self.graphs[f.relation].adjacency, f.index) for f in facts]
+            closed = {r: self._closed(r) for r in dict.fromkeys(f.relation for f in facts)}
+            return [closed[f.relation][f.index] for f in facts]
         chains, others = self.classes
         relations = (
             dict.fromkeys(f.relation for f in facts) if kind is MeasureKind.R else chains | others
@@ -656,10 +658,9 @@ class Game:
         so a refusal names the relation.
         """
         kind = self.kind
-        if kind is MeasureKind.MI:
-            return sum(len(g.edges) for g in self.graphs.values())
-        if kind is MeasureKind.P:
-            return sum(1 for g in self.graphs.values() for adj in g.adjacency.values() if adj)
+        if kind is MeasureKind.MI or kind is MeasureKind.P:
+            degrees = [d for degs in self.degrees.values() for d in degs]
+            return sum(degrees) // 2 if kind is MeasureKind.MI else sum(map(bool, degrees))
         chains, others = self.classes
         tops = [self._fulls[unit][-1] for r in chains for unit in self.units(r)]
         for relation in others:

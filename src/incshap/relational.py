@@ -1,4 +1,5 @@
-"""Relational core: schemas, facts, databases, FDs, and conflict graphs.
+"""Relational core: schemas, facts, databases, FDs, conflict graphs, and
+sums over conflict partners from group counts.
 
 Constants are opaque strings compared by exact equality; databases are sets
 (duplicate rows within a relation are rejected).  Everything here is
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import InputError, SchemaError
@@ -282,6 +284,45 @@ def build_conflict_graph(db: Database, fds: FDSet) -> dict[str, ConflictGraph]:
                                 edges.add((i, j))
         graphs[relation] = ConflictGraph(relation, facts, tuple(sorted(edges)))
     return graphs
+
+
+def _conflict_terms(fds: Iterable[FD]) -> list[tuple[frozenset[str], int]]:
+    """Signed attribute sets (S, c): the c of the sets on which g agrees with
+    f sum to 1 if g conflicts with f, else to 0.  This expands 1 - product
+    over FDs of (1 - [agree on lhs] + [agree on lhs + rhs]); indicators
+    multiply as their sets unite, and equal sets merge after each factor.
+    FDs that share an lhs merge first, which keeps their conflicts."""
+    closed: dict[frozenset[str], frozenset[str]] = {}
+    for fd in fds:
+        closed[fd.lhs] = closed.get(fd.lhs, fd.lhs) | fd.rhs
+    product = {frozenset(): 1}
+    for lhs, full in closed.items():
+        step: dict[frozenset[str], int] = {}
+        for s, c in product.items():
+            for t, d in ((s, c), (s | lhs, -c), (s | full, c)):
+                step[t] = step.get(t, 0) + d
+        product = {s: c for s, c in step.items() if c}
+    terms = {s: -c for s, c in product.items()}
+    terms[frozenset()] = terms.get(frozenset(), 0) + 1
+    return [(s, c) for s, c in terms.items() if c]
+
+
+def partner_sums(db: Database, fds: FDSet, relation: str, weights: list[int]) -> list[int]:
+    """Per fact of `relation`, in load order: the summed `weights` (one per
+    fact, in load order) of its conflict partners, from group counts with no
+    conflict graph.  Each term (S, c) adds c times the weights of the facts
+    equal to the fact on S; the fact's own weight cancels, as no fact
+    conflicts with itself."""
+    rows = [f.values for f in db.facts_of(relation)]
+    position = db.schema.attributes(relation).index
+    sums = [0] * len(rows)
+    for attrs, c in _conflict_terms(fds.per_relation(relation)):
+        keys = list(map(itemgetter(*map(position, attrs)), rows)) if attrs else [()] * len(rows)
+        groups: dict = {}
+        for key, w in zip(keys, weights):
+            groups[key] = groups.get(key, 0) + w
+        sums = [s + c * groups[key] for s, key in zip(sums, keys)]
+    return sums
 
 
 def is_consistent(db: Database, fds: FDSet) -> bool:

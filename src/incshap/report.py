@@ -12,6 +12,7 @@ from __future__ import annotations
 import decimal
 import json
 from fractions import Fraction
+from math import lcm
 
 from .approx import Estimate
 from .measures import MeasureKind
@@ -54,8 +55,10 @@ def build_report(
     """Assemble a report; the efficiency check runs only on complete exact runs."""
     efficiency = None
     if complete and method in ("exact", "oracle"):
-        total = sum((value for _, value in entries), Fraction(0))
-        efficiency = total == total_measure - empty_set_value(kind)
+        # One integer sum over the lcm of the denominators, not a Fraction sum.
+        scale = lcm(*(value.denominator for _, value in entries))
+        total = sum(value.numerator * (scale // value.denominator) for _, value in entries)
+        efficiency = total == (total_measure - empty_set_value(kind)) * scale
     report = {
         "measure": kind.value,
         "method": method,

@@ -13,6 +13,7 @@ import pytest
 
 import incshap
 import incshap.exact
+import incshap.relational
 from incshap.cli import run_command
 from incshap.measures import CoalitionEvaluator
 
@@ -328,6 +329,39 @@ def test_one_pass_per_command(tmp_path, monkeypatch):
                           "--method", method])
         assert code == 0
         assert len(trees) == len(set(trees)) and len(evaluators) <= 1, (manifest, m, method)
+
+
+def test_mi_p_build_no_conflict_graph(monkeypatch):
+    """Exact mi/p values, rankings and totals come from group counts: no
+    command builds a conflict graph.  The sampler and the oracle still walk
+    the evaluator's graph and keep their values."""
+    calls = []
+    build = incshap.relational.build_conflict_graph
+
+    def counting_build(*args):
+        calls.append(args)
+        return build(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("incshap") and hasattr(module, "build_conflict_graph"):
+            monkeypatch.setattr(module, "build_conflict_graph", counting_build)
+    for m in ("mi", "p"):
+        for command in (
+            ["shapley", "--measure", m, "--all"],
+            ["rank", "--measure", m, "--top", "3"],
+            ["measure", "--measure", m],
+        ):
+            code, _, _ = run(["--manifest", TRAINS, *command])
+            assert code == 0 and not calls, command
+        _, exact, _ = run(["--manifest", TRAINS, "shapley", "--measure", m, "--all"])
+        _, oracle, _ = run(["--manifest", TRAINS, "oracle", "--measure", m, "--all"])
+        assert json.loads(oracle)["facts"] == json.loads(exact)["facts"]
+        code, out, _ = run(["--manifest", TRAINS, "shapley", "--measure", m, "--all",
+                            "--method", "approx", "--seed", "7"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_APPROX_SHA256[m]
+        assert len(calls) == 2, m  # one evaluator each for the oracle and the sampler
+        calls.clear()
 
 
 def test_budget_leaves_chain_measures_alone():

@@ -46,6 +46,7 @@ from incshap.exact import (
     _repair_sum_block,
 )
 from incshap.fd_analysis import TractabilityKind
+from incshap.relational import _conflict_terms
 
 from conftest import (
     random_chain_fds,
@@ -128,6 +129,107 @@ class TestClosedForms:
         for kind in (MeasureKind.MI, MeasureKind.P):
             total = sum(shapley_exact(db, fds, f, kind) for f in db.facts)
             assert total == measure(kind, db, fds) > 0
+
+
+def _group_count_instance(rng):
+    """R(A, B, C, D) with a mix of FDs and S(X, Y) with or without one, either
+    relation possibly empty: lhs-free FDs, multi-attribute rhs, trivial FDs
+    (rhs inside lhs) and several FDs on one lhs."""
+    attrs = ("A", "B", "C", "D")
+    schema = Schema.from_dict({"R": list(attrs), "S": ["X", "Y"]})
+    fds = []
+    for _ in range(rng.randint(0, 6)):
+        lhs = frozenset(rng.sample(attrs, rng.choice([0, 1, 1, 2, 3])))
+        if lhs and rng.random() < 0.15:
+            rhs = frozenset(rng.sample(sorted(lhs), 1))  # trivial
+        else:
+            rhs = frozenset(rng.sample(attrs, rng.randint(1, 3)))
+        fds.append(FD("R", lhs, rhs))
+        if rng.random() < 0.3:
+            fds.append(FD("R", lhs, frozenset(rng.sample(attrs, 1))))  # same lhs
+    if rng.random() < 0.5:
+        fds.append(FD("S", frozenset({"X"}), frozenset({"Y"})))
+    rows = {
+        "R": random_rows(rng, rng.choice([0, 1, 6, 12, 20]), width=4),
+        "S": random_rows(rng, rng.choice([0, 3, 7]), width=2),
+    }
+    return Database.build(schema, rows), FDSet(schema, tuple(fds))
+
+
+def _graph_values(db, fds, kind):
+    """mi and p values straight from the conflict graph's adjacency."""
+    graphs = build_conflict_graph(db, fds)
+    values = []
+    for fact in db.facts:
+        adj = graphs[fact.relation].adjacency
+        deg = len(adj[fact.index])
+        if kind is MeasureKind.MI:
+            values.append(Fraction(deg, 2))
+        else:
+            values.append(Fraction(deg, deg + 1) + sum(
+                Fraction(1, len(adj[g]) * (len(adj[g]) + 1)) for g in adj[fact.index]
+            ))
+    return values
+
+
+class TestGroupCounts:
+    """mi and p from group counts against the conflict graph and the evaluator."""
+
+    KINDS = (MeasureKind.MI, MeasureKind.P)
+
+    def test_two_fd_expansion(self):
+        """A -> B, AC -> D: deg = |A| - |AB| + |ABC| - |ABCD|."""
+        fds = (FD("R", frozenset("A"), frozenset("B")), FD("R", frozenset("AC"), frozenset("D")))
+        terms = dict(_conflict_terms(fds))
+        assert terms == {
+            frozenset("A"): 1, frozenset("AB"): -1, frozenset("ABC"): 1, frozenset("ABCD"): -1
+        }
+        # A trivial FD adds no term; repeating an lhs merges into one FD.
+        trivial = FD("R", frozenset("AC"), frozenset("C"))
+        assert dict(_conflict_terms(fds + (trivial,))) == terms
+        split = (FD("R", frozenset("A"), frozenset("B")), FD("R", frozenset("A"), frozenset("C")))
+        assert dict(_conflict_terms(split)) == {frozenset("A"): 1, frozenset("ABC"): -1}
+        assert _conflict_terms(()) == []
+
+    def test_equals_conflict_graph_and_evaluator(self):
+        rng = random.Random(2020)
+        seen = set()
+        for trial in range(300):
+            db, fds = _group_count_instance(rng)
+            r_fds = fds.per_relation("R")
+            seen |= {
+                "empty lhs" if not fd.lhs else "trivial" if fd.rhs <= fd.lhs else "rhs > 1"
+                for fd in r_fds if not fd.lhs or fd.rhs <= fd.lhs or len(fd.rhs) > 1
+            }
+            if len({fd.lhs for fd in r_fds}) < len(r_fds):
+                seen.add("same lhs")
+            for relation in ("R", "S"):
+                if not db.facts_of(relation):
+                    seen.add("no facts")
+                if not fds.per_relation(relation):
+                    seen.add("no FDs")
+            engine = CoalitionEvaluator(db, fds)
+            for kind in self.KINDS:
+                game = Game(db, fds, kind)
+                assert game.values(db.facts) == _graph_values(db, fds, kind), (trial, kind)
+                assert game.total() == engine.value(kind, engine.full_mask), (trial, kind)
+        assert seen == {"empty lhs", "trivial", "rhs > 1", "same lhs", "no facts", "no FDs"}
+
+    def test_many_fds_stay_few_terms(self):
+        """Ten FDs over six attributes: the terms are bounded by the 2^6
+        attribute sets, not 3^10, and the values still equal the graph's."""
+        rng = random.Random(66)
+        attrs = "ABCDEF"
+        schema = Schema.from_dict({"R": list(attrs)})
+        fds = FDSet(schema, tuple(
+            FD("R", frozenset(rng.sample(attrs, rng.randint(1, 3))), frozenset(rng.choice(attrs)))
+            for _ in range(10)
+        ))
+        assert len(_conflict_terms(fds.per_relation("R"))) <= 2 ** len(attrs)
+        db = Database.build(schema, {"R": random_rows(rng, 150, width=6)})
+        for kind in self.KINDS:
+            game = Game(db, fds, kind)
+            assert game.values(db.facts) == _graph_values(db, fds, kind), kind
 
 
 class TestDrasticTables:
