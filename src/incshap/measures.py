@@ -2,10 +2,12 @@
 
 For FDs, a fact set is consistent iff it is pairwise consistent, so repairs
 are exactly maximal independent sets of the conflict graph and the
-cardinality-repair cost is its minimum vertex cover.  The coalition
-evaluator computes any measure on any fact subset, whatever the FD class,
-for the sampler, the oracle, and the whole-database measure of the
-relations without an lhs chain (``exact.Game.total``).  Its
+cardinality-repair cost is its minimum vertex cover.  No edge is listed:
+each fact's neighbours are one bitmask, summed from group counts by
+``relational.partner_sums``, the rule of the exact engines too.  The
+coalition evaluator computes any measure on any fact subset, whatever the
+FD class, for the sampler, the oracle, and the whole-database measure of
+the relations without an lhs chain (``exact.Game.total``).  Its
 vertex-cover and repair-counting searches are exponential in the worst
 case and honor an optional node budget that counts memo misses only: vertex
 covers are memoized per induced subgraph, repair counts per search state.
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .errors import BudgetExceededError, InputError, SchemaError
-from .relational import Database, Fact, FDSet, build_conflict_graph
+from .relational import Database, Fact, FDSet, partner_sums
 
 
 class MeasureKind(enum.Enum):
@@ -88,10 +90,12 @@ class CoalitionEvaluator:
     Bits are numbered one conflict component at a time: components in the
     order of their first fact in load order, facts within a component in
     load order, so each component is a contiguous bit range and ``facts[i]``
-    is the fact of bit i.  The searches run on a component's local masks,
-    and vertex covers are memoized per induced-subgraph mask and repair
-    counts per (candidates, excluded) search state in per-component memos,
-    so repeated coalition queries (oracles, samplers) stay cheap; a memo hit
+    is the fact of bit i.  Two ``partner_sums`` passes weigh each fact by
+    its bit: on load-order bits to find the components, then on local bits
+    for their masks.  The searches run on a component's local masks, and
+    vertex covers are memoized per induced-subgraph mask and repair counts
+    per (candidates, excluded) search state in per-component memos, so
+    repeated coalition queries (oracles, samplers) stay cheap; a memo hit
     costs no node of the budget.
     """
 
@@ -100,24 +104,27 @@ class CoalitionEvaluator:
             raise SchemaError("database and FD set are over different schemas")
         check_budget(budget)
         self.budget = budget
-        self.graphs = build_conflict_graph(db, fds)
-        load = {fact.id: k for k, fact in enumerate(db.facts)}
-        adj = [0] * len(db.facts)
-        for graph in self.graphs.values():
-            for i, j in graph.edges:
-                a, b = load[graph.facts[i].id], load[graph.facts[j].id]
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
+
+        def partners(bits: list[int]) -> list[int]:
+            """Each fact's partner mask, fact k weighing ``bits[k]``: partners
+            have distinct bits, so their weights sum to their OR."""
+            sums = {
+                r: partner_sums(db, fds, r, [b for b, f in zip(bits, db.facts) if f.relation == r])
+                for r in db.schema.relation_names
+            }
+            return [sums[f.relation][f.index] for f in db.facts]
+
+        # The whole database on load-order bits, only to find its components.
+        whole = _Component(0, partners([1 << k for k in range(len(db.facts))]))
+        members = [list(self._bits(part)) for part in self._components(whole, whole.full)]
+        local = {k: 1 << j for ks in members for j, k in enumerate(ks)}  # bit in its component
+        adj = partners([local[k] for k in range(len(db.facts))])
         self.facts: list[Fact] = []
         self.comp_of: list[_Component] = []  # the component of each bit
-        # The whole database on load-order bits, only to find its components.
-        whole = _Component(0, adj)
-        for members in self._components(whole, whole.full):
-            local = {k: j for j, k in enumerate(self._bits(members))}
-            comp_adj = [sum(1 << local[b] for b in self._bits(adj[k])) for k in local]
-            comp = _Component(len(self.facts), comp_adj)
-            self.facts += [db.facts[k] for k in local]
-            self.comp_of += [comp] * len(local)
+        for ks in members:
+            comp = _Component(len(self.facts), [adj[k] for k in ks])
+            self.facts += [db.facts[k] for k in ks]
+            self.comp_of += [comp] * len(ks)
         self.bit_of = {fact.id: i for i, fact in enumerate(self.facts)}
         self.full_mask = (1 << len(self.facts)) - 1
         # The empty set is one subgraph, whichever component reaches it.

@@ -156,8 +156,10 @@ class Database:
                     f"fact {fact.id} has {len(fact.values)} values, "
                     f"expected {len(attrs)}"
                 )
+            if fact.index != len(by_relation[fact.relation]):
+                raise InputError(f"fact {fact.id} is not at position {fact.index} of its relation")
             by_relation[fact.relation].append(fact)
-            by_id.setdefault(fact.id, fact)
+            by_id[fact.id] = fact
         # Lookup indexes, built once (not fields: equality and hashing ignore them).
         object.__setattr__(
             self, "_by_relation", {name: tuple(fs) for name, fs in by_relation.items()}
@@ -326,5 +328,8 @@ def partner_sums(db: Database, fds: FDSet, relation: str, weights: list[int]) ->
 
 
 def is_consistent(db: Database, fds: FDSet) -> bool:
-    """For FDs, set consistency is equivalent to pairwise consistency."""
-    return all(not g.edges for g in build_conflict_graph(db, fds).values())
+    """For FDs, set consistency is pairwise consistency: no fact has a partner."""
+    if db.schema != fds.schema:
+        raise SchemaError("database and FD set are over different schemas")
+    names = db.schema.relation_names
+    return not any(any(partner_sums(db, fds, r, [1] * len(db.facts_of(r)))) for r in names)

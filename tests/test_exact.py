@@ -172,6 +172,43 @@ def _graph_values(db, fds, kind):
     return values
 
 
+def _interleaved(db, rng):
+    """The facts of ``db`` with R and S merged in a random order, each
+    relation keeping its own load order."""
+    queues = [list(db.facts_of(r)) for r in ("R", "S")]
+    facts = []
+    while any(queues):
+        queue = rng.choice([q for q in queues if q])
+        facts.append(queue.pop(0))
+    return Database(db.schema, tuple(facts))
+
+
+def _graph_layout(db, fds):
+    """The evaluator's bit order and component masks rebuilt from the
+    conflict graph: components in the order of their first fact in load
+    order, facts in load order within a component."""
+    graphs = build_conflict_graph(db, fds)
+    load = {fact.id: k for k, fact in enumerate(db.facts)}
+    partners = [
+        {load[f"{fact.relation}:{j}"] for j in graphs[fact.relation].adjacency[fact.index]}
+        for fact in db.facts
+    ]
+    order, comps, placed = [], [], set()
+    for k in range(len(db.facts)):
+        if k in placed:
+            continue
+        members, stack = {k}, [k]
+        while stack:
+            new = partners[stack.pop()] - members
+            members |= new
+            stack += new
+        placed |= members
+        local = {m: j for j, m in enumerate(sorted(members))}
+        comps.append((len(order), [sum(1 << local[g] for g in partners[m]) for m in local]))
+        order += local
+    return [db.facts[k].id for k in order], comps
+
+
 class TestGroupCounts:
     """mi and p from group counts against the conflict graph and the evaluator."""
 
@@ -214,6 +251,22 @@ class TestGroupCounts:
                 assert game.values(db.facts) == _graph_values(db, fds, kind), (trial, kind)
                 assert game.total() == engine.value(kind, engine.full_mask), (trial, kind)
         assert seen == {"empty lhs", "trivial", "rhs > 1", "same lhs", "no facts", "no FDs"}
+
+    def test_evaluator_masks_equal_conflict_graph(self):
+        """The evaluator's masks from group counts, and its bit order, equal
+        the conflict graph's, also when R and S facts interleave."""
+        rng = random.Random(2021)
+        for trial in range(300):
+            plain, fds = _group_count_instance(rng)
+            for db in (plain, _interleaved(plain, rng)):
+                engine = CoalitionEvaluator(db, fds)
+                layout = (
+                    [f.id for f in engine.facts],
+                    [(c.offset, c.adj) for c in dict.fromkeys(engine.comp_of)],
+                )
+                assert layout == _graph_layout(db, fds), trial
+                for kind in self.KINDS:
+                    assert Game(db, fds, kind).total() == engine.value(kind, engine.full_mask)
 
     def test_many_fds_stay_few_terms(self):
         """Ten FDs over six attributes: the terms are bounded by the 2^6

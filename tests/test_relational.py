@@ -108,6 +108,21 @@ def test_duplicate_facts_rejected():
         Database.build(schema, {"R": [("a", "1"), ("a", "1")]})
 
 
+def test_fact_index_is_its_position_in_its_relation(trains):
+    """Engines read a fact at its index in its relation, so a subset that
+    keeps its ids, or facts in another order, is rejected; relations may
+    still interleave."""
+    db, _ = trains
+    kept = tuple(db.facts[k] for k in (0, 2, 3, 5, 7, 8))
+    with pytest.raises(InputError, match="fact Trains:2 is not at position 2 of its relation"):
+        Database(db.schema, kept)
+    with pytest.raises(InputError, match="fact Trains:8 is not at position 8 of its relation"):
+        Database(db.schema, db.facts[::-1])
+    schema = Schema.from_dict({"R": ["A"], "S": ["B"]})
+    mixed = (Fact("R", ("a",), 0), Fact("S", ("b",), 0), Fact("R", ("c",), 1))
+    assert Database(schema, mixed).facts_of("R") == (mixed[0], mixed[2])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6))
 def test_violates_is_symmetric(seed):
