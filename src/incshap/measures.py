@@ -17,10 +17,12 @@ component is a contiguous bit range.  Its searches and memos work on the
 component's small local masks: a coalition splits into one local mask per
 component it meets, with a shift and a mask.  The empty set is one entry
 of the vertex-cover memo for all components, so every search spends the
-nodes it would on one memo keyed by fact set.  ``value`` keeps the r and
-mc value of each local mask in memos of its own: a search memo can hold a
-disconnected mask whose connected parts were never searched, and reading
-it would spend fewer nodes than the split into parts that ``value`` does.
+nodes it would on one memo keyed by fact set.  ``value`` keeps no memo of
+its own.  A component's r is the cover memo's entry for its local mask,
+and its mc the repair-count memo's entry for the state that excludes
+nothing, which is the repair count of that mask.  A miss splits the mask
+into connected parts and searches each on a node counter of its own; a
+hit spends nothing, also on a mask that a search stored.
 
 The sampler grows a coalition one fact i at a time and keeps the
 coalition's connected parts with their measures (``split`` values the
@@ -67,9 +69,7 @@ class _Component:
     """One conflict component on local bits: local bit j is the evaluator's
     bit ``offset + j``, and the component's facts keep their load order."""
 
-    __slots__ = (
-        "offset", "size", "full", "adj", "nonadj", "vc_memo", "mis_memo", "costs", "counts"
-    )
+    __slots__ = ("offset", "size", "full", "adj", "nonadj", "vc_memo", "mis_memo")
 
     def __init__(self, offset: int, adj: list[int]):
         self.offset = offset
@@ -80,8 +80,6 @@ class _Component:
         self.nonadj = [self.full & ~a & ~(1 << j) for j, a in enumerate(adj)]
         self.vc_memo: dict[int, int] = {}  # cover size per nonempty local mask
         self.mis_memo: dict[int, int] = {}  # repair count per state P | X << size
-        self.costs: dict[int, int] = {}  # r, as ``value`` reads it, per local mask
-        self.counts: dict[int, int] = {}  # mc, as ``value`` reads it, per local mask
 
 
 class CoalitionEvaluator:
@@ -114,11 +112,12 @@ class CoalitionEvaluator:
             }
             return [sums[f.relation][f.index] for f in db.facts]
 
-        # The whole database on load-order bits, only to find its components.
-        whole = _Component(0, partners([1 << k for k in range(len(db.facts))]))
-        members = [list(self._bits(part)) for part in self._components(whole, whole.full)]
+        # Partner masks on load-order bits, only to find the components.
+        n = len(db.facts)
+        whole = _parts(partners([1 << k for k in range(n)]), (1 << n) - 1)
+        members = [list(self._bits(part)) for part in whole]
         local = {k: 1 << j for ks in members for j, k in enumerate(ks)}  # bit in its component
-        adj = partners([local[k] for k in range(len(db.facts))])
+        adj = partners([local[k] for k in range(n)])
         self.facts: list[Fact] = []
         self.comp_of: list[_Component] = []  # the component of each bit
         for ks in members:
@@ -154,22 +153,29 @@ class CoalitionEvaluator:
 
         Each component contributes the measure of its part of ``mask``; the
         contributions add up (mi, p, r), multiply (mc) or give 1 if any is 1
-        (d).  The r and mc contributions are memoized per local mask, beside
-        the search memos that their connected parts fill in any case.
+        (d).  r and mc read the search memos' entry for the local mask, and
+        a miss searches each connected part on a node counter of its own.
         """
         if not isinstance(kind, MeasureKind):
-            raise ValueError(f"unknown measure kind {kind!r}")
+            raise InputError(f"unknown measure kind {kind!r}")
         product = kind is _MC
         total = 1 if product else 0
         while mask:
             comp = self.comp_of[(mask & -mask).bit_length() - 1]
             local = mask >> comp.offset & comp.full
             mask &= ~(comp.full << comp.offset)
-            if product or kind is _R:
-                memo = comp.counts if product else comp.costs
-                part = memo.get(local)
+            if kind is _R:
+                # the hit read inline: a call per component costs more than the lookup
+                part = comp.vc_memo.get(local)
                 if part is None:
-                    part = memo[local] = self._local_value(kind, comp, local)
+                    part = self._cost(comp, local)
+            elif product:
+                # nothing excluded: the state's count is the mask's repair count
+                part = comp.mis_memo.get(local)
+                if part is None:
+                    part = comp.mis_memo[local] = prod(
+                        self._count_mis(comp, p, 0, [0]) for p in _parts(comp.adj, local)
+                    )
             else:
                 part = self._local_value(kind, comp, local)
             if product:
@@ -181,12 +187,7 @@ class CoalitionEvaluator:
         return total
 
     def _local_value(self, kind: MeasureKind, comp: _Component, mask: int) -> int:
-        """The measure of a local mask of ``comp``; each connected part of it
-        is one vertex-cover search (r) or repair count (mc)."""
-        if kind is _R:
-            return sum(self._vc(comp, part) for part in self._components(comp, mask))
-        if kind is _MC:
-            return prod(self._count_mis(comp, part, 0, [0]) for part in self._components(comp, mask))
+        """The d, mi or p measure of a local mask of ``comp``."""
         adj = comp.adj
         pairs = problematic = 0
         rest = mask
@@ -212,7 +213,7 @@ class CoalitionEvaluator:
             local = mask >> comp.offset & comp.full
             mask &= ~(comp.full << comp.offset)
             own = parts[comp]
-            for part in self._components(comp, local):
+            for part in _parts(comp.adj, local):
                 own[part] = value = self.part_value(kind, comp, part)
                 total = total * value if product else total + value
         return min(total, 1) if kind is _D else total
@@ -250,32 +251,13 @@ class CoalitionEvaluator:
             return old + (comp.adj[i] & part).bit_count()
         return part.bit_count() if kind is _P else 1
 
-    def _components(self, comp: _Component, mask: int):
-        """The connected parts of the local mask ``mask`` of ``comp``."""
-        adj = comp.adj
-        remaining = mask
-        while remaining:
-            frontier = remaining & -remaining
-            part = 0
-            while frontier:
-                part |= frontier
-                grown = 0
-                while frontier:
-                    low = frontier & -frontier
-                    grown |= adj[low.bit_length() - 1] & remaining
-                    frontier ^= low
-                frontier = grown & ~part
-            yield part
-            remaining &= ~part
-
-    def _cost(self, comp: _Component, mask: int, nodes: list) -> int:
-        """Cover size of a local mask, memoized per mask, its searches spending ``nodes``."""
+    def _cost(self, comp: _Component, mask: int, nodes: list | None = None) -> int:
+        """Cover size of a local mask, memoized per mask.  Its connected parts'
+        searches spend ``nodes``, or each a counter of its own if None."""
         memo = comp.vc_memo if mask else self._empty_vc
         cost = memo.get(mask)
         if cost is None:
-            cost = memo[mask] = sum(
-                self._vc(comp, part, nodes) for part in self._components(comp, mask)
-            )
+            cost = memo[mask] = sum(self._vc(comp, part, nodes) for part in _parts(comp.adj, mask))
         return cost
 
     def _vc(self, comp: _Component, mask: int, _nodes: list | None = None) -> int:
@@ -365,6 +347,24 @@ class CoalitionEvaluator:
             )
             candidates &= ~bit
             excluded |= bit
+
+
+def _parts(adj: list[int], mask: int):
+    """The connected parts of ``mask``, where ``adj[i]`` masks bit i's neighbours."""
+    remaining = mask
+    while remaining:
+        frontier = remaining & -remaining
+        part = 0
+        while frontier:
+            part |= frontier
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                grown |= adj[low.bit_length() - 1] & remaining
+                frontier ^= low
+            frontier = grown & ~part
+        yield part
+        remaining &= ~part
 
 
 def _pivot_branches(comp: _Component, candidates: int, excluded: int) -> int:

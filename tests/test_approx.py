@@ -26,6 +26,8 @@ from incshap import (
 import incshap.approx as approx
 from incshap.approx import marginal_bound
 from incshap.errors import InputError
+from incshap.exact import Game
+from incshap.oracle import shapley_bruteforce_all
 
 from conftest import (
     random_chain_fds,
@@ -355,6 +357,38 @@ def test_sampled_r_spends_a_node_per_memo_miss(trains):
 
 def test_sampled_mc_spends_a_node_per_memo_miss(trains):
     _check_least_budget(trains, MeasureKind.MC, "repair enumeration")
+
+
+@pytest.mark.parametrize("kind", [MeasureKind.R, MeasureKind.MC])
+def test_value_reads_the_search_memos(kind):
+    """After a sampled walk, ``value`` on every mask a search memo holds
+    agrees with a fresh evaluator and spends no node, also on a mask that a
+    search stored whole and whose connected parts were never searched."""
+    db, fds = _clustered_hard_instance()
+    engine = CoalitionEvaluator(db, fds)
+    estimate_all(db, fds, list(db.facts), kind, ApproxParams(0.3, 0.05, seed=0), engine=engine)
+    engine.budget = 0
+    fresh = CoalitionEvaluator(db, fds)
+    for comp in dict.fromkeys(engine.comp_of):
+        memo = comp.vc_memo if kind is MeasureKind.R else comp.mis_memo
+        # repair-count states that exclude nothing are keyed by the mask alone
+        masks = [key << comp.offset for key in memo if key <= comp.full]
+        assert masks
+        for mask in masks:
+            assert engine.value(kind, mask) == fresh.value(kind, mask)
+
+
+@pytest.mark.parametrize("kind", [MeasureKind.R, MeasureKind.MC])
+def test_total_after_the_oracle_spends_no_node(kind):
+    """The oracle's table holds the whole relation, so the game's total on
+    the same evaluator finds it searched."""
+    db, fds = _clustered_hard_instance(1)
+    game = Game(db, fds, kind)
+    values = shapley_bruteforce_all(db, fds, list(db.facts), kind, engine=game.evaluator)
+    game.evaluator.budget = 0
+    total = game.total()
+    assert total == CoalitionEvaluator(db, fds).value(kind, game.evaluator.full_mask)
+    assert total - game.evaluator.value(kind, 0) == sum(values)
 
 
 def _interleaved_instance(size: int):

@@ -31,6 +31,7 @@ from incshap import (
     shapley_exact,
     shapley_mi,
 )
+from incshap import measures
 from incshap.errors import BudgetExceededError, InputError
 from incshap.block_tree import VertexKind
 from incshap.exact import (
@@ -267,6 +268,24 @@ class TestGroupCounts:
                 assert layout == _graph_layout(db, fds), trial
                 for kind in self.KINDS:
                     assert Game(db, fds, kind).total() == engine.value(kind, engine.full_mask)
+
+    def test_one_component_object_per_conflict_component(self, monkeypatch):
+        """The evaluator builds one `_Component` per conflict component, in
+        bit order, and none for the whole database."""
+        made = []
+        init = measures._Component.__init__
+
+        def counting(comp, offset, adj):
+            made.append((offset, adj))
+            init(comp, offset, adj)
+
+        monkeypatch.setattr(measures._Component, "__init__", counting)
+        rng = random.Random(22)
+        for trial in range(100):
+            db, fds = _group_count_instance(rng)
+            made.clear()
+            CoalitionEvaluator(db, fds)
+            assert made == _graph_layout(db, fds)[1], trial
 
     def test_many_fds_stay_few_terms(self):
         """Ten FDs over six attributes: the terms are bounded by the 2^6

@@ -20,6 +20,7 @@ from incshap import (
     measure,
 )
 from incshap.errors import InputError
+from incshap.measures import _parts
 
 from conftest import random_arbitrary_fds, random_instance, random_rows
 
@@ -166,6 +167,11 @@ def test_negative_budget_rejected(trains):
     assert CoalitionEvaluator(db, fds, budget=0).budget == 0
 
 
+def test_unknown_kind_is_an_input_error(trains):
+    with pytest.raises(InputError, match="unknown measure kind 'r'"):
+        CoalitionEvaluator(*trains).value("r", 1)
+
+
 def test_evaluator_freed_without_cycle_collection(trains):
     """Repair enumeration leaves no reference cycle through the evaluator."""
     db, fds = trains
@@ -193,11 +199,11 @@ def _count_test_instances():
         yield db, fds, masks
 
 
-def _parts(engine, masks):
+def _component_parts(engine, masks):
     """(component, connected part) for each connected part of each mask."""
     for mask in masks:
         for comp in dict.fromkeys(engine.comp_of):
-            for part in engine._components(comp, mask >> comp.offset & comp.full):
+            for part in _parts(comp.adj, mask >> comp.offset & comp.full):
                 yield comp, part
 
 
@@ -211,7 +217,7 @@ def test_repair_count_equals_enumeration():
         engine = CoalitionEvaluator(db, fds)
         for mask in masks:
             expected = 1
-            for comp, part in _parts(engine, [mask]):
+            for comp, part in _component_parts(engine, [mask]):
                 expected *= sum(1 for _ in engine._extend_mis(comp, 0, part, 0, [0]))
             assert engine.value(MeasureKind.MC, mask) == expected
         assert engine.value(MeasureKind.MC, engine.full_mask) == len(enumerate_repairs(db, fds).repairs)
@@ -224,7 +230,7 @@ def test_repair_count_fits_the_enumeration_budget():
     """
     for db, fds, masks in _count_test_instances():
         engine = CoalitionEvaluator(db, fds)
-        parts = {(comp.offset, part) for comp, part in _parts(engine, list(masks)[:40])}
+        parts = {(comp.offset, part) for comp, part in _component_parts(engine, list(masks)[:40])}
         for offset, part in sorted(parts):
             nodes = [0]
             expected = sum(1 for _ in engine._extend_mis(engine.comp_of[offset], 0, part, 0, nodes))
@@ -294,7 +300,7 @@ def test_region_step_equals_direct_evaluation():
         steps = []  # (component, connected local mask, local fact or -1)
         for comp in dict.fromkeys(engine.comp_of):
             for part in range(1, comp.full + 1):
-                if list(engine._components(comp, part)) == [part]:
+                if list(_parts(comp.adj, part)) == [part]:
                     steps += [(comp, part, i) for i in [-1, *engine._bits(part)]]
         rng.shuffle(steps)
         for kind in MeasureKind:
