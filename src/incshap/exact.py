@@ -41,11 +41,24 @@ I(S + f) - I(S) within B, an integer:
   consistent indicator 1 - I), so their per-size sums over the whole
   database convolve over units, across relations.  With rest_B the
   convolution of every other unit's consistent-subset counts (drastic) or
-  summed repair counts (repair count), built once per command from prefix
-  and suffix products, and N = |D|, the weights fold once per unit:
-  W_B[j] = sum over i of rest_B[i] * (i+j)! * (N-1-i-j)!, and
-  value(f) = sum over j of W_B[j] * gain_B[j] / N!.  Drastic takes gain_B
-  in consistent counts too, the gains of 1 - I, so its value flips sign.
+  summed repair counts (repair count), and N = |D|, value(f) = sum over
+  i, j of rest_B[i] * gain_B[j] * (i+j)! * (N-1-i-j)! / N!.  Drastic takes
+  gain_B in consistent counts too, the gains of 1 - I, so its value flips
+  sign.
+
+The weights fold in small integers, with no factorials and no product
+per unit.  The weight m!(N-1-m)!/N! is 1/(N * C(N-1, m)), and
+L = lcm(1..N)/N is the lcm of the C(N-1, m), so it is s[m] = L / C(N-1, m)
+over N * L: about 1.44 N bits where the factorials take N log N.  Every
+unit's sums start with 1 (the empty subset), so rest_B is the product P of
+all units' sums, multiplied once per command, divided by B's as a power
+series.  With s' the scale reversed, coefficient N-1-j of rest_B * s' is
+W_B[j] = sum over i of rest_B[i] * s[i+j], so the low N coefficients of
+P * s', one packed product, divided by B's sums, give W_B; a power-series
+quotient's low coefficients need only the dividend's low ones.  Each
+distinct unit table is divided once, and value(f) = W_B . gain_B / (N * L),
+which Fraction reduces to the same rational.  A lone unit, and repair
+cost, take rest_B = [1], so W_B = s.
 
 Each value is built as one Fraction at the end.  The per-size sums come
 from integer tables computed bottom-up over the block/subblock tree of a
@@ -112,7 +125,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate, groupby
-from math import comb, factorial, lcm, prod
+from math import comb, lcm, prod
+from operator import mul
 from typing import Sequence
 
 from .block_tree import BlockTree, Vertex, VertexKind, build_tree
@@ -497,33 +511,68 @@ def multi_relation_combine(
     return [Fraction(s, comb(n, m)) for m, s in enumerate(sums)]
 
 
+def _divide(p: list[int], d: Sequence[int]) -> list[int]:
+    """The first len(p) coefficients of the power series p / d, where d[0] == 1.
+
+    Entry k of the quotient q is p[k] less the sum over i >= 1 of d[i] *
+    q[k - i].  d is a unit's short table and p long, so each entry is one
+    C-level dot product of small by large integers.
+    """
+    top = len(d) - 1
+    tail, q = d[:0:-1], [0] * top
+    for x in p:
+        q.append(x - sum(map(mul, tail, q[-top:])))
+    return q[top:]
+
+
+def _scale(n: int) -> tuple[list[int], int]:
+    """Integers s[m], m < n, over one denominator D: s[m] / D = m!(n-1-m)!/n!.
+
+    That weight is 1/(n * C(n-1, m)), and L = lcm(1..n)/n is the lcm of the
+    C(n-1, m), so s[m] = L / C(n-1, m) and D = n * L.  Each s[m+1] is s[m] *
+    (m+1) / (n-1-m); the division is exact iff C(n-1, m+1) divides L.
+    """
+    common = lcm(*range(1, n + 1)) // n
+    scale = [common]
+    for m in range(n - 1):
+        s, r = divmod(scale[m] * (m + 1), n - 1 - m)
+        assert not r
+        scale.append(s)
+    return scale, n * common
+
+
 def _unit_weights(
     kind: MeasureKind, fulls: list[list[int]], needed: set[int]
 ) -> dict[int, tuple[list[int], int]]:
-    """Per needed unit B: (W_B, N!), so that value(f) = W_B . gain_B / N!.
+    """Per needed unit B: (W_B, D), so that value(f) = W_B . gain_B / D.
 
-    Repair cost plays f's game on B alone (N = |B|, rest_B = [1]); drastic
-    and repair count fold in rest_B, the product of every other unit.
+    W_B[j] is the sum over i of rest_B[i] * s[i+j], with (s, D) the scale of
+    N = |B| + deg rest_B facts (see the module notes).  Repair cost plays
+    f's game on B alone, and so does a lone unit: rest_B = [1] and W_B = s.
+    Otherwise W_B is read off one quotient per distinct table of B.
     """
-    if kind is MeasureKind.R:
-        rests = {u: [1] for u in needed}
-    else:
-        prefix = list(accumulate(fulls, _convolve, initial=[1]))
-        suffix = list(accumulate(reversed(fulls), _convolve, initial=[1]))[::-1]
-        rests = {u: _convolve(prefix[u], suffix[u + 1]) for u in needed}
-    scales: dict[int, list[int]] = {}
-    weights = {}
-    for u, rest in rests.items():
-        size = len(fulls[u]) - 1
-        n = len(rest) - 1 + size
-        if n not in scales:
-            scales[n] = [factorial(m) * factorial(n - 1 - m) for m in range(n)]
-        scale = scales[n]
-        weights[u] = (
-            [sum(r * scale[i + j] for i, r in enumerate(rest) if r) for j in range(size)],
-            factorial(n),
-        )
-    return weights
+    if kind is MeasureKind.R or len(fulls) == 1:
+        scales = {n: _scale(n) for n in {len(fulls[u]) - 1 for u in needed}}
+        return {u: scales[len(fulls[u]) - 1] for u in needed}
+    # Pairwise rounds keep the two factors of each product of like size.
+    tables = fulls
+    while len(tables) > 1:
+        last = tables[-1:] if len(tables) % 2 else []
+        tables = list(map(_convolve, tables[::2], tables[1::2])) + last
+    product = tables[0]
+    n = len(product) - 1
+    scale, denominator = _scale(n)
+    # The low n coefficients of product(x) times s reversed, one packed
+    # product; no coefficient exceeds (n + 1) * max(product) * s[0].
+    width = ((n + 1) * max(product) * scale[0]).bit_length() // 8 + 1
+    packed = _pack(product, width) * _pack(scale[::-1], width)
+    low = _unpack(packed & ((1 << 8 * width * n) - 1), width, n)
+    # W_B[j] is coefficient n-1-j of the quotient by B's sums, j < |B|.
+    table_of = {u: tuple(fulls[u]) for u in needed}
+    by_table = {
+        t: (_divide(low, t)[n + 1 - len(t) :][::-1], denominator) for t in set(table_of.values())
+    }
+    return {u: by_table[t] for u, t in table_of.items()}
 
 
 class Game:
@@ -597,7 +646,12 @@ class Game:
         subset counts (drastic), summed repair counts (mc) or summed costs (r)."""
         counts = self._shapes.tables[shape]
         if self.kind is MeasureKind.R:
-            return [sum((j - k) * c for k, c in enumerate(row)) for j, row in enumerate(counts)]
+            # Row j's counts add up to C(n, j), so its summed cost (j - kept)
+            # is j * C(n, j) less the summed kept sizes.
+            n = len(counts) - 1
+            return [
+                j * comb(n, j) - sum(map(mul, row, range(j + 1))) for j, row in enumerate(counts)
+            ]
         return counts
 
     def values(self, facts: Sequence[Fact]) -> list[Fraction]:
@@ -644,8 +698,8 @@ class Game:
                 # The with-fact identity on sums: S + f over size-j subsets S of
                 # B - f sums to full[j+1] - without[j+1].
                 gain = (full[j + 1] - without[j + 1] - without[j] for j in range(len(without) - 1))
-                scale, denominator = weights[u]
-                value = Fraction(sum(w * g for w, g in zip(scale, gain)), denominator)
+                weight, denominator = weights[u]
+                value = Fraction(sum(map(mul, weight, gain)), denominator)
                 # Drastic gains in consistent counts are minus the measure's gains.
                 by_shape[u, shape] = -value if kind is MeasureKind.DRASTIC else value
             values.append(by_shape[u, shape])

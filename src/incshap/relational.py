@@ -194,7 +194,8 @@ class Database:
             raise InputError(f"no fact with id {fact_id!r}") from None
 
     def __contains__(self, fact: Fact) -> bool:
-        return self._by_id.get(fact.id) == fact
+        stored = self._by_id.get(fact.id)
+        return stored is fact or stored == fact
 
     def require(self, facts: Iterable[Fact]) -> None:
         """Raise InputError for the first of `facts` not in the database."""

@@ -433,6 +433,44 @@ def test_golden_exact_reports(m):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_EXACT_SHA256[m]
 
 
+def write_ladder_manifest(tmp_path: Path, n: int) -> str:
+    """R(A,B,C,D) under A -> B, AC -> D: n distinct rows (a from n/10 values,
+    b from 3, c from 3, d from 4) drawn from random.Random(0), then sorted and
+    shuffled with the same generator."""
+    rng = random.Random(0)
+    rows = {}
+    while len(rows) < n:
+        row = (f"a{rng.randrange(n // 10)}", f"b{rng.randrange(3)}", f"c{rng.randrange(3)}",
+               f"d{rng.randrange(4)}")
+        rows.setdefault(row, None)
+    rows = sorted(rows)
+    rng.shuffle(rows)
+    (tmp_path / "r.csv").write_text("A,B,C,D\n" + "".join(",".join(r) + "\n" for r in rows))
+    (tmp_path / "r.fds").write_text("R: A -> B\nR: A C -> D\n")
+    manifest = {"schema": {"R": list("ABCD")}, "data": {"R": "r.csv"}, "fds": "r.fds"}
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    return str(path)
+
+
+# sha256 of exact `shapley --all` on the 400-fact ladder (40 level-1 blocks),
+# recorded from the weight fold with factorial scales and prefix and suffix
+# products that preceded the one-product fold.
+GOLDEN_LADDER_400_SHA256 = {
+    "d": "e26b001269d5cf097cf037207e9d8e667d1603a4b6491973b598a2dc1a89fda2",
+    "mc": "aa1cffb49b48b88b76347daabce3321a9bb18d64345d9c49e17c152e6f06a5d9",
+}
+
+
+@pytest.mark.parametrize("m", sorted(GOLDEN_LADDER_400_SHA256))
+def test_golden_ladder_reports(tmp_path, m):
+    manifest = write_ladder_manifest(tmp_path, 400)
+    code, out, _ = run(["--manifest", manifest, "shapley", "--measure", m, "--all"])
+    assert code == 0
+    assert '"efficiency_check": true' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_LADDER_400_SHA256[m]
+
+
 def test_budget_checked_by_the_parser():
     """Every subcommand with --budget rejects a negative or non-integer one."""
     for argv in (

@@ -4,7 +4,8 @@ import functools
 import itertools
 import random
 from fractions import Fraction
-from math import comb
+from itertools import accumulate
+from math import comb, factorial
 
 import pytest
 
@@ -41,10 +42,12 @@ from incshap.exact import (
     _consistent_block,
     _convolve,
     _convolve_rows,
+    _divide,
     _kept_block,
     _product,
     _product_rows,
     _repair_sum_block,
+    _unit_weights,
 )
 from incshap.fd_analysis import TractabilityKind
 from incshap.relational import _conflict_terms
@@ -1048,3 +1051,125 @@ class TestPackedProducts:
                 runs, expanded = self._runs(rng, (1, 2), rows)
                 n = sum(len(t) - 1 for t in expanded)
                 assert block(n, runs) == block(n, [(t, 1) for t in expanded]), (trial, block)
+
+
+def _factorial_weights(kind, fulls, needed):
+    """The fold as first written: rest_B from prefix and suffix products, and
+    W_B[j] = sum over i of rest_B[i] * (i+j)! (N-1-i-j)! over N!."""
+    if kind is MeasureKind.R:
+        rests = {u: [1] for u in needed}
+    else:
+        prefix = list(accumulate(fulls, _convolve, initial=[1]))
+        suffix = list(accumulate(reversed(fulls), _convolve, initial=[1]))[::-1]
+        rests = {u: _convolve(prefix[u], suffix[u + 1]) for u in needed}
+    weights = {}
+    for u, rest in rests.items():
+        size = len(fulls[u]) - 1
+        n = len(rest) - 1 + size
+        scale = [factorial(m) * factorial(n - 1 - m) for m in range(n)]
+        weights[u] = (
+            [sum(r * scale[i + j] for i, r in enumerate(rest)) for j in range(size)],
+            factorial(n),
+        )
+    return weights
+
+
+class TestUnitWeights:
+    """The weight fold (one product, exact division, small-integer scales)
+    against the factorial fold it replaced, as exact rationals."""
+
+    KINDS = (MeasureKind.DRASTIC, MeasureKind.MC, MeasureKind.R)
+
+    @staticmethod
+    def _sums(rng, size):
+        """Unit sums with entry 0 = 1: zeros, small counts and 40-bit entries."""
+        entries = (rng.choice((0, rng.randrange(1, 9), rng.getrandbits(40))) for _ in range(size))
+        return [1, *entries]
+
+    def _check(self, rng, kind, fulls):
+        needed = set(rng.sample(range(len(fulls)), rng.randint(1, len(fulls))))
+        got = _unit_weights(kind, fulls, needed)
+        want = _factorial_weights(kind, fulls, needed)
+        assert set(got) == needed
+        for u in needed:
+            (weight, denominator), (ref, ref_denominator) = got[u], want[u]
+            assert len(weight) == len(ref) == len(fulls[u]) - 1
+            assert [Fraction(w, denominator) for w in weight] == [
+                Fraction(w, ref_denominator) for w in ref
+            ]
+            for _ in range(3):
+                gain = [rng.choice((0, rng.randrange(-99, 100))) for _ in weight]
+                value = Fraction(sum(w * g for w, g in zip(weight, gain)), denominator)
+                assert value == Fraction(sum(w * g for w, g in zip(ref, gain)), ref_denominator)
+
+    def test_equals_factorial_fold(self):
+        rng = random.Random(2323)
+        for trial in range(60):
+            kind = self.KINDS[trial % 3]
+            fulls = [self._sums(rng, rng.randint(1, 5)) for _ in range(rng.randint(1, 6))]
+            self._check(rng, kind, fulls)
+
+    def test_one_unit_units_of_size_one_and_zero_entries(self):
+        rng = random.Random(2324)
+        for kind in self.KINDS:
+            self._check(rng, kind, [self._sums(rng, 4)])
+            self._check(rng, kind, [[1, rng.randrange(3)] for _ in range(7)])
+            self._check(rng, kind, [[1, 0, 0, 5], [1, 0], [1, 3, 0], [1, 0, 0, 0, 0]])
+
+    def test_one_unit_folds_no_product(self, monkeypatch):
+        """A lone unit's rest is [1]: no product and no division."""
+        calls = []
+        monkeypatch.setattr("incshap.exact._convolve", lambda *a: calls.append(a))
+        monkeypatch.setattr("incshap.exact._divide", lambda *a: calls.append(a))
+        for kind in self.KINDS:
+            _unit_weights(kind, [[1, 4, 6, 4, 1]], {0})
+        assert not calls
+
+    def test_division_round_trip(self):
+        """q * d divided by d is q, then zeros, and a prefix of the dividend
+        gives the same prefix of the quotient."""
+        rng = random.Random(2325)
+        for trial in range(40):
+            bits = rng.choice((4, 60))
+            quotient = [rng.choice((0, rng.getrandbits(bits))) for _ in range(rng.randint(1, 30))]
+            divisor = [1] + [rng.choice((0, rng.getrandbits(20))) for _ in range(rng.randint(0, 6))]
+            product = _convolve(quotient, divisor)
+            whole = quotient + [0] * (len(divisor) - 1)
+            assert _divide(product, divisor) == whole, trial
+            k = rng.randint(0, len(product))
+            assert _divide(product[:k], divisor) == whole[:k], trial
+
+
+def _generator_sums(counts):
+    """Summed repair costs per size, entry by entry: cost = size - kept."""
+    return [sum((j - k) * c for k, c in enumerate(row)) for j, row in enumerate(counts)]
+
+
+class TestSummedCosts:
+    """`Game._sums` for r, from row totals, against the per-entry sum."""
+
+    def test_random_tables(self):
+        rng = random.Random(2326)
+        db, fds = _one_block_instance(1)
+        game = Game(db, fds, MeasureKind.R)
+        for trial in range(40):
+            n = rng.randint(0, 12)
+            table = []
+            for j in range(n + 1):
+                # A random split of the C(n, j) subsets of size j by kept size.
+                cuts = sorted(rng.randint(0, comb(n, j)) for _ in range(j))
+                table.append([b - a for a, b in zip([0, *cuts], [*cuts, comb(n, j)])])
+            game._shapes.tables.append(table)
+            assert game._sums(len(game._shapes.tables) - 1) == _generator_sums(table), trial
+
+    def test_every_shape_of_a_game(self):
+        rng = random.Random(2327)
+        for trial in range(10):
+            if trial < 3:
+                db, fds = _one_block_instance(rng.randint(1, 5))
+            else:
+                db, fds = random_instance(rng, chain=True, n_max=14)
+            game = Game(db, fds, MeasureKind.R)
+            game.values(db.facts)
+            for shape, table in enumerate(game._shapes.tables):
+                assert game._sums(shape) == _generator_sums(table), (trial, shape)

@@ -171,6 +171,30 @@ def test_graphs_never_cross_relations():
     assert all(f.relation == "R" for f in graphs["R"].facts)
 
 
+def test_membership_by_identity_then_equality(monkeypatch):
+    """A stored fact is found without a Fact comparison; an equal fact built
+    elsewhere is still a member, and an unknown one is not."""
+    schema = Schema.from_dict({"R": ["A", "B"]})
+    db = Database.build(schema, {"R": [("a", "1"), ("b", "2")]})
+    eq = Fact.__eq__
+    calls = []
+
+    def counted(self, other):
+        calls.append(self)
+        return eq(self, other)
+
+    monkeypatch.setattr(Fact, "__eq__", counted)
+    db.require(db.facts)
+    assert calls == []
+    foreign = Fact("R", ("a", "1"), 0)
+    assert foreign is not db.facts[0] and foreign in db
+    db.require([foreign])
+    for unknown in (Fact("R", ("a", "9"), 0), Fact("R", ("a", "1"), 5), Fact("S", ("a", "1"), 0)):
+        assert unknown not in db
+        with pytest.raises(InputError, match=f"fact {unknown.id} is not in the database"):
+            db.require([unknown])
+
+
 def test_lookups_by_id_relation_and_attribute():
     """The indexed lookups agree with a scan and keep their error types."""
     schema = Schema.from_dict({"R": ["A", "B"], "S": ["C"], "T": ["D"]})
