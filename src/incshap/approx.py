@@ -7,22 +7,13 @@ values cannot fall.  Sampling is deterministic given the seed: each sample
 index uses its own generator keyed by SHA-256(seed:index), so results are
 independent of how sample indices are scheduled.
 
-One permutation per sample index serves every requested fact: the walk
-adds facts in permutation order, carries the value of the current prefix,
-and reads a fact's marginal off two consecutive prefixes, value(prefix + f)
-- value(prefix).  Facts before the first requested one only grow the
-prefix; one split then values each connected part of each conflict
-component's region.  From there the walk keeps every component's parts
-with their measures.  A fact that conflicts with none of them is a part of
-its own and changes no value; otherwise it joins the parts it touches into
-one, and only that part is valued (``CoalitionEvaluator.split`` and ``part_value``): the
-prefix value moves by the joined part less the parts it replaced, a
-quotient for mc.  The walk stops after the last requested fact, and for d
-at the first conflict, after which every drastic marginal is 0.  A
-permutation shuffles the facts in load order, whatever bits the evaluator
-gives them, by the Fisher-Yates loop of ``random.shuffle``.  A fact's
-marginals are those of the one-fact estimator, so estimating facts
-together or one at a time gives identical values.
+One permutation per sample index serves every requested fact, whose
+marginal is value(prefix + f) - value(prefix) for the prefix of facts
+before it; ``CoalitionEvaluator.walk`` walks the permutation and sums
+them.  A permutation shuffles the facts in load order, whatever bits the
+evaluator gives them, by the Fisher-Yates loop of ``random.shuffle``.  A
+fact's marginals do not depend on which other facts are requested, so
+estimating facts together or one at a time gives identical values.
 """
 
 from __future__ import annotations
@@ -35,7 +26,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError, InputError, UnsupportedModeError
+from .errors import InputError, UnsupportedModeError
 from .fd_analysis import TractabilityKind, classify_relation
 from .measures import CoalitionEvaluator, MeasureKind
 from .relational import Database, Fact, FDSet
@@ -174,75 +165,15 @@ def estimate_all(
     guarantee = _guarantee(params, kind, db, fds)
     if engine is None:
         engine = CoalitionEvaluator(db, fds)
-    selected = {engine.bit_of[fact.id] for fact in facts}
+    totals = dict.fromkeys((engine.bit_of[fact.id] for fact in facts), 0)
     # Shuffling moves positions, not values: the facts come in the same
     # order whatever bit each one has.
     order_template = [engine.bit_of[fact.id] for fact in db.facts]
     bound = marginal_bound(kind, n)
-    drastic = kind is MeasureKind.DRASTIC
-    product = kind is MeasureKind.MC
-    single = 1 if product else 0  # the measure of one fact alone
-    local = [  # each bit's component, local bit and local neighbours
-        (comp, i - comp.offset, comp.adj[i - comp.offset]) for i, comp in enumerate(engine.comp_of)
-    ]
-    components = list(dict.fromkeys(engine.comp_of))
-    part_value = engine.part_value
-    totals = dict.fromkeys(selected, 0)
-    try:
-        for index in range(samples):
-            order = order_template[:]
-            _shuffle(_sample_rng(params.seed, index), order)
-            mask = 0
-            for start, i in enumerate(order):
-                if i in selected:
-                    break
-                mask |= 1 << i
-            else:
-                break  # no fact is requested
-            parts = {comp: {} for comp in components}
-            value = engine.split(kind, mask, parts)
-            pending = len(selected)
-            for i in order[start:]:
-                comp, b, adj = local[i]
-                touching = adj & mask >> comp.offset
-                own = parts[comp]
-                if not touching:
-                    own[1 << b] = single
-                    extended = value
-                elif drastic:
-                    extended = 1
-                else:
-                    # i joins the parts it touches; only the joined part is valued
-                    joined, old = 1 << b, single
-                    for part in list(own):
-                        if part & touching:
-                            joined |= part
-                            if product:
-                                old *= own.pop(part)
-                            else:
-                                old += own.pop(part)
-                    new = own[joined] = part_value(kind, comp, joined, b, old)
-                    extended = value // old * new if product else value - old + new
-                if i in selected:
-                    marginal = extended - value
-                    if bound is not None:
-                        assert 0 <= marginal <= bound, (
-                            f"marginal {marginal} outside [0, {bound}] for {kind.value}"
-                        )
-                    totals[i] += marginal
-                    pending -= 1
-                    if not pending:
-                        break
-                value = extended
-                if value and drastic:
-                    break  # every later drastic marginal is 0
-                mask |= 1 << i
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(
-            f"measure evaluation aborted on a sampled coalition of size "
-            f"{mask.bit_count()}: {exc}",
-            coalition_size=mask.bit_count(),
-        ) from exc
+    for index in range(samples):
+        order = order_template[:]
+        _shuffle(_sample_rng(params.seed, index), order)
+        engine.walk(kind, order, totals, bound)
     return [
         Estimate(
             value=Fraction(totals[engine.bit_of[fact.id]], samples),

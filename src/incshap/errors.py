@@ -48,10 +48,6 @@ class BudgetExceededError(IncshapError):
 
     kind = "budget_exceeded"
 
-    def __init__(self, message, coalition_size=None):
-        super().__init__(message)
-        self.coalition_size = coalition_size
-
 
 class UnsupportedModeError(IncshapError):
     kind = "unsupported_mode"

@@ -24,15 +24,23 @@ nothing, which is the repair count of that mask.  A miss splits the mask
 into connected parts and searches each on a node counter of its own; a
 hit spends nothing, also on a mask that a search stored.
 
-The sampler grows a coalition one fact i at a time and keeps the
-coalition's connected parts with their measures (``split`` values the
-parts of a coalition the walk starts from).  Adding i merges the parts it
-touches into one, and ``part_value`` values only that part.  d, mi and p
+``walk`` runs one sampled permutation for the sampler.  It grows a
+coalition from the empty one, one fact i at a time, and keeps each
+component's connected parts of it with their measures.  A fact that
+conflicts with none of them is a part of its own and changes no value.
+Otherwise adding i merges the parts it touches into one, and
+``part_value`` values only that part: the coalition's value moves by the
+joined part less the parts it replaced, a quotient for mc.  d, mi and p
 need only arithmetic on it.  r and mc read the part's entry in the search
 memos, the key its own search fills, and a miss is one search on a node
 counter of its own.  A minimum cover of the joined part either takes i or
 takes every neighbour of i, so an r miss spends one node and searches only
-the part less i and its neighbours.
+the part less i and its neighbours.  A requested fact's marginal is the
+value after it less the value before it.  The walk stops after the last
+requested fact, and for d at the first conflict, after which every
+drastic marginal is 0.  A walk takes the same join steps up to where it
+stops, whichever facts are requested, so one fact's estimate values only
+parts that the estimate of every fact values too.
 """
 
 from __future__ import annotations
@@ -120,10 +128,15 @@ class CoalitionEvaluator:
         adj = partners([local[k] for k in range(n)])
         self.facts: list[Fact] = []
         self.comp_of: list[_Component] = []  # the component of each bit
+        self._components: list[_Component] = []
+        # each bit's component, local bit and local neighbours, for walks
+        self._steps: list[tuple[_Component, int, int]] = []
         for ks in members:
             comp = _Component(len(self.facts), [adj[k] for k in ks])
             self.facts += [db.facts[k] for k in ks]
             self.comp_of += [comp] * len(ks)
+            self._components.append(comp)
+            self._steps += [(comp, j, a) for j, a in enumerate(comp.adj)]
         self.bit_of = {fact.id: i for i, fact in enumerate(self.facts)}
         self.full_mask = (1 << len(self.facts)) - 1
         # The empty set is one subgraph, whichever component reaches it.
@@ -202,37 +215,80 @@ class CoalitionEvaluator:
                 problematic += 1
         return pairs // 2 if kind is _MI else problematic
 
-    def split(self, kind: MeasureKind, mask: int, parts: dict) -> int:
-        """The measure of the coalition ``mask``, putting each of its
-        connected parts and the part's measure in ``parts[comp]``, a dict
-        for each component ``comp`` it meets."""
+    def walk(
+        self, kind: MeasureKind, order: list[int], totals: dict[int, int], bound: int | None
+    ) -> None:
+        """Walk the permutation ``order`` of every bit, as the module
+        docstring describes, adding each requested bit's marginal into
+        ``totals``, keyed by the requested bits.
+
+        Every marginal must lie in ``[0, bound]`` unless ``bound`` is None.
+        A budget refusal names the size of the coalition it was adding to.
+        """
+        pending = len(totals)
+        if not pending:
+            return
+        drastic = kind is _D
         product = kind is _MC
-        total = 1 if product else 0
-        while mask:
-            comp = self.comp_of[(mask & -mask).bit_length() - 1]
-            local = mask >> comp.offset & comp.full
-            mask &= ~(comp.full << comp.offset)
-            own = parts[comp]
-            for part in _parts(comp.adj, local):
-                own[part] = value = self.part_value(kind, comp, part)
-                total = total * value if product else total + value
-        return min(total, 1) if kind is _D else total
+        single = 1 if product else 0  # the measure of one fact alone, and of none
+        value = single
+        parts = {comp: {} for comp in self._components}
+        steps = self._steps
+        part_value = self.part_value
+        mask = 0
+        try:
+            for i in order:
+                comp, b, adj = steps[i]
+                touching = adj & mask >> comp.offset
+                own = parts[comp]
+                if not touching:
+                    own[1 << b] = single
+                    extended = value
+                elif drastic:
+                    extended = 1
+                else:
+                    # i joins the parts it touches; only the joined part is valued
+                    joined, old = 1 << b, single
+                    for part in list(own):
+                        if part & touching:
+                            joined |= part
+                            if product:
+                                old *= own.pop(part)
+                            else:
+                                old += own.pop(part)
+                    new = own[joined] = part_value(kind, comp, joined, b, old)
+                    extended = value // old * new if product else value - old + new
+                if i in totals:
+                    marginal = extended - value
+                    if bound is not None:
+                        assert 0 <= marginal <= bound, (
+                            f"marginal {marginal} outside [0, {bound}] for {kind.value}"
+                        )
+                    totals[i] += marginal
+                    pending -= 1
+                    if not pending:
+                        return
+                value = extended
+                if value and drastic:
+                    return  # every later drastic marginal is 0
+                mask |= 1 << i
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(
+                f"measure evaluation aborted on a sampled coalition of size "
+                f"{mask.bit_count()}: {exc}"
+            ) from exc
 
-    def part_value(
-        self, kind: MeasureKind, comp: _Component, part: int, i: int = -1, old: int = 0
-    ) -> int:
-        """The measure of ``part``, a connected local mask of ``comp``.
+    def part_value(self, kind: MeasureKind, comp: _Component, part: int, i: int, old: int) -> int:
+        """The measure of ``part``, a connected local mask of ``comp`` that
+        joins local fact ``i`` to parts of measure ``old`` (their product
+        for mc, else their sum).
 
-        Given local fact ``i``, ``part`` joins i to parts of measure ``old``
-        (their product for mc, else their sum).  r and mc read the search
-        memos, and a miss is one search on a node counter of its own.  A
-        minimum cover of ``part`` takes i or every neighbour of i, so with i
-        an r miss spends one node and searches only ``part`` less i and its
-        neighbours.
+        r and mc read the search memos, and a miss is one search on a node
+        counter of its own.  A minimum cover of ``part`` takes i or every
+        neighbour of i, so an r miss spends one node and searches only
+        ``part`` less i and its neighbours.
         """
         if kind is _R:
-            if i < 0:
-                return self._vc(comp, part)
             cost = comp.vc_memo.get(part)
             if cost is None:
                 nodes = [0]
@@ -246,8 +302,6 @@ class CoalitionEvaluator:
         if not part & part - 1:
             return 0  # one fact alone conflicts with nothing
         if kind is _MI:
-            if i < 0:
-                return self._local_value(kind, comp, part)
             return old + (comp.adj[i] & part).bit_count()
         return part.bit_count() if kind is _P else 1
 

@@ -262,13 +262,13 @@ class TestSharedWalk:
 
 
 @pytest.mark.parametrize("kind", list(MeasureKind))
-def test_value_with_matches_value_along_random_orders(kind):
+def test_walk_matches_value_along_random_orders(kind):
     """The walk's marginals are those of ``value`` on a fresh evaluator.
 
-    Each seed's one permutation is walked from a random start: the facts
-    before it only grow regions, one split values their connected parts,
-    and each later fact is one part step.  The walks of an instance share
-    one evaluator, so later ones read memo entries that earlier ones left.
+    Each seed's one permutation requests the facts from a random start on:
+    the walk adds the facts before it without reading their marginals, and
+    each fact is one part step.  The walks of an instance share one
+    evaluator, so later ones read memo entries that earlier ones left.
     """
     rng = random.Random(77)
     for db, fds in referee_instances():
@@ -357,6 +357,25 @@ def test_sampled_r_spends_a_node_per_memo_miss(trains):
 
 def test_sampled_mc_spends_a_node_per_memo_miss(trains):
     _check_least_budget(trains, MeasureKind.MC, "repair enumeration")
+
+
+@pytest.mark.parametrize(("kind", "budget"), [(MeasureKind.R, 10), (MeasureKind.MC, 16)])
+def test_one_fact_walk_fits_the_budget_of_every_fact(kind, budget):
+    """One fact's estimate walks from the empty coalition with join steps,
+    as the estimate of every fact does, so a budget that finishes every
+    fact's walk on the 120 clustered facts also finishes each fact alone,
+    with that fact's value from the walk of every fact."""
+    db, fds = _clustered_hard_instance(10)
+    params = ApproxParams(0.1, 0.05)
+    every = estimate_all(
+        db, fds, list(db.facts), kind, params, engine=CoalitionEvaluator(db, fds, budget=budget)
+    )
+    for k in (0, 57, 119):
+        fact = db.get(f"R:{k}")
+        alone = estimate_shapley(
+            db, fds, fact, kind, params, engine=CoalitionEvaluator(db, fds, budget=budget)
+        )
+        assert alone == every[db.facts.index(fact)]
 
 
 @pytest.mark.parametrize("kind", [MeasureKind.R, MeasureKind.MC])

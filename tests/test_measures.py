@@ -285,28 +285,28 @@ def _region_test_instances():
 def test_region_step_equals_direct_evaluation():
     """``part_value`` on each connected part matches ``value`` on a fresh evaluator.
 
-    Each connected part is valued as a split values it and as the step
-    that joins each of its facts i to the rest, given the measure of the
-    part less i.  Every such call runs twice on one evaluator, from a cold
-    memo and then warm; the expected values come from a separate evaluator,
-    so only part steps fill the memos under test.  Afterwards the warmed
-    evaluator still agrees with a fresh one on random masks.
+    Each connected part is valued as the step that joins each of its facts
+    i to the rest, given the measure of the part less i.  Every such call
+    runs twice on one evaluator, from a cold memo and then warm; the
+    expected values come from a separate evaluator, so only part steps fill
+    the memos under test.  Afterwards the warmed evaluator still agrees
+    with a fresh one on random masks.
     """
     rng, instances = _region_test_instances()
     for db, fds in instances:
         n = len(db)
         referee = CoalitionEvaluator(db, fds)
         engine = CoalitionEvaluator(db, fds)
-        steps = []  # (component, connected local mask, local fact or -1)
+        steps = []  # (component, connected local mask, local fact)
         for comp in dict.fromkeys(engine.comp_of):
             for part in range(1, comp.full + 1):
                 if list(_parts(comp.adj, part)) == [part]:
-                    steps += [(comp, part, i) for i in [-1, *engine._bits(part)]]
+                    steps += [(comp, part, i) for i in engine._bits(part)]
         rng.shuffle(steps)
         for kind in MeasureKind:
             for _ in range(2):
                 for comp, part, i in steps:
-                    old = referee.value(kind, (part & ~(1 << i)) << comp.offset) if i >= 0 else 0
+                    old = referee.value(kind, (part & ~(1 << i)) << comp.offset)
                     got = engine.part_value(kind, comp, part, i, old)
                     assert got == referee.value(kind, part << comp.offset)
         fresh = CoalitionEvaluator(db, fds)
