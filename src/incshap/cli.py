@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from fractions import Fraction
@@ -237,7 +236,7 @@ def run_command(argv, stdout=None, stderr=None) -> int:
         payload = {"error": exc.kind, "message": str(exc)}
         if isinstance(exc, IntractableExactError):
             payload["suggestion"] = exc.suggestion
-        print(json.dumps(payload, indent=2, separators=(",", ": ")), file=out)
+        print(render_report(payload), file=out)
         print(f"refused: {exc}", file=err)
         return 2
     except IncshapError as exc:

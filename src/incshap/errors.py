@@ -19,6 +19,22 @@ class SchemaError(InputError):
     kind = "schema_error"
 
 
+class ArityError(SchemaError):
+    """A fact whose value count is not its relation's arity; remembers the fact."""
+
+    def __init__(self, message, fact):
+        super().__init__(message)
+        self.fact = fact
+
+
+class DuplicateFactError(InputError):
+    """A fact that repeats an earlier one of its relation; remembers both."""
+
+    def __init__(self, message, fact, first):
+        super().__init__(message)
+        self.fact, self.first = fact, first
+
+
 class ParseError(InputError):
     """Syntax error in an FD spec file or CSV; remembers the offending line."""
 

@@ -102,7 +102,9 @@ m-th power (repair cost) or adds m times its sums (drastic, repair count).
 With a repeated child among at least four, a power product is one big
 integer product of packed integer powers (Kronecker substitution, with
 (size, kept) rows packed at stride size + 1); fewer or distinct factors
-multiply pairwise.  The full fold keeps each vertex's shape and parent and
+multiply pairwise.  `_power_product` is the one packer: the long pairwise
+products and the P * s' product above are packed products of two factors
+through it.  The full fold keeps each vertex's shape and parent and
 each fact's leaf, so a fold with f left out walks up from f's leaf and
 re-interns only f's path, reading every other child's shape from the full
 fold; isomorphic siblings and units, and other facts' paths of the same
@@ -181,9 +183,7 @@ _KRONECKER_MIN = 256
 def _convolve(a: list[int], b: list[int]) -> list[int]:
     """Product of two polynomials with non-negative integer coefficients.
 
-    Long inputs use Kronecker substitution: each is packed into one integer
-    with a slot wide enough for any product coefficient, multiplied once,
-    and unpacked.
+    Long inputs multiply as one packed product (`_power_product`).
     """
     if len(a) * len(b) < _KRONECKER_MIN:
         out = [0] * (len(a) + len(b) - 1)
@@ -194,8 +194,7 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
                 if y:
                     out[i + j] += x * y
         return out
-    width = (max(a) * max(b) * min(len(a), len(b))).bit_length() // 8 + 1
-    return _unpack(_pack(a, width) * _pack(b, width), width, len(a) + len(b) - 1)
+    return _power_product([(a, 1), (b, 1)])
 
 
 def _pack(coefficients: list[int], width: int) -> int:
@@ -221,10 +220,13 @@ def _pairwise(runs: list[tuple[list, int]]) -> bool:
 def _power_product(runs: list[tuple[list[int], int]]) -> list[int]:
     """Product of polynomials t^m over (t, m) runs, non-negative coefficients.
 
-    One Kronecker-packed product of integer powers.  No coefficient exceeds
-    the product's value at 1, the product of sum(t)^m, which sizes the slot.
+    One Kronecker-packed product of integer powers: each factor is packed
+    into one integer, with a slot per coefficient, and the product is
+    unpacked.  Every packed product goes through here.  No coefficient of
+    the product or of a factor exceeds the product of max(sum(t), 1)^m,
+    which sizes the slot (a zero factor, say [0], must not shrink it).
     """
-    width = prod(sum(t) ** m for t, m in runs).bit_length() // 8 + 1
+    width = prod(max(sum(t), 1) ** m for t, m in runs).bit_length() // 8 + 1
     packed = prod(pow(_pack(t, width), m) for t, m in runs)
     return _unpack(packed, width, sum(m * (len(t) - 1) for t, m in runs) + 1)
 
@@ -318,21 +320,17 @@ def _kept_block(n: int, runs: list[tuple[list[list[int]], int]]) -> list[list[in
 
     So a block subset keeps at most k facts iff every child part does, and
     for each k the counts of "kept <= k" multiply over the children, each
-    distinct child's row raised to its multiplicity (or, for few or no
-    repeated children, one row per child, multiplied pairwise).  Each
-    child's "kept <= k" counts are prefix sums of its rows, built once.  No
-    subset keeps more than the largest child, so k stops there.
+    distinct child's row raised to its multiplicity (`_product`).  Each
+    distinct child's "kept <= k" counts are prefix sums of its rows, built
+    once.  No subset keeps more than the largest child, so k stops there.
     """
-    pairwise = _pairwise(runs)
-    if pairwise:
-        runs = [(child, 1) for child, m in runs for _ in range(m)]
     counts = [m for _, m in runs]
     cumulative = [[list(accumulate(row)) for row in child] for child, _ in runs]
     table = [[0] * (j + 1) for j in range(n + 1)]
     below = [0] * (n + 1)
     for k in range(max(map(len, cumulative))):
         parts = [[row[min(k, j)] for j, row in enumerate(child)] for child in cumulative]
-        at_most = reduce(_convolve, parts) if pairwise else _power_product(list(zip(parts, counts)))
+        at_most = _product(list(zip(parts, counts)))
         for j in range(k, n + 1):
             table[j][k] = at_most[j] - below[j]
         below = at_most
@@ -562,11 +560,8 @@ def _unit_weights(
     product = tables[0]
     n = len(product) - 1
     scale, denominator = _scale(n)
-    # The low n coefficients of product(x) times s reversed, one packed
-    # product; no coefficient exceeds (n + 1) * max(product) * s[0].
-    width = ((n + 1) * max(product) * scale[0]).bit_length() // 8 + 1
-    packed = _pack(product, width) * _pack(scale[::-1], width)
-    low = _unpack(packed & ((1 << 8 * width * n) - 1), width, n)
+    # The low n coefficients of product(x) times s reversed, one packed product.
+    low = _power_product([(product, 1), (scale[::-1], 1)])[:n]
     # W_B[j] is coefficient n-1-j of the quotient by B's sums, j < |B|.
     table_of = {u: tuple(fulls[u]) for u in needed}
     by_table = {

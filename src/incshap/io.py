@@ -21,8 +21,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import LoadError, ParseError
-from .relational import FD, Database, Fact, FDSet, Schema
+from .errors import ArityError, DuplicateFactError, LoadError, ParseError
+from .relational import FD, Database, FDSet, Schema
 
 
 @dataclass(frozen=True)
@@ -106,13 +106,13 @@ def parse_fd_file(text: str, schema: Schema) -> FDSet:
     return FDSet(schema, tuple(fds))
 
 
-def _load_relation_csv(relation: str, attrs: tuple[str, ...], path: Path) -> list[Fact]:
+def _load_relation_csv(attrs: tuple[str, ...], path: Path) -> list[list[str]]:
+    """The data rows of a CSV file whose header is `attrs`."""
     try:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise LoadError(f"data file not found: {path}") from None
-    reader = csv.reader(_io.StringIO(text))
-    rows = list(reader)
+    rows = list(csv.reader(_io.StringIO(text)))
     if not rows:
         raise LoadError(f"{path}: missing header row")
     if tuple(rows[0]) != attrs:
@@ -120,32 +120,26 @@ def _load_relation_csv(relation: str, attrs: tuple[str, ...], path: Path) -> lis
             f"{path}: header {rows[0]} does not match the schema "
             f"attributes {list(attrs)}"
         )
-    facts: list[Fact] = []
-    seen: dict[tuple[str, ...], int] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(attrs):
-            raise LoadError(
-                f"{path}: line {lineno} has {len(row)} values, "
-                f"expected {len(attrs)}"
-            )
-        values = tuple(row)
-        if values in seen:
-            raise LoadError(
-                f"{path}: line {lineno} duplicates line {seen[values]}"
-            )
-        seen[values] = lineno
-        facts.append(Fact(relation, values, len(facts)))
-    return facts
+    return rows[1:]
 
 
 def load_database(manifest: Manifest) -> Database:
-    """Load all relations; fact ids follow CSV row order per relation."""
-    facts: list[Fact] = []
-    for relation, attrs in manifest.schema.relations:
-        path = manifest.data_paths.get(relation)
-        if path is not None:
-            facts.extend(_load_relation_csv(relation, attrs, path))
-    return Database(manifest.schema, tuple(facts))
+    """Load all relations; fact ids follow CSV row order per relation.
+    `Database` checks the facts; a bad one is named by file and record line."""
+    rows = {
+        relation: _load_relation_csv(attrs, manifest.data_paths[relation])
+        for relation, attrs in manifest.schema.relations
+        if relation in manifest.data_paths
+    }
+    try:
+        return Database.build(manifest.schema, rows)
+    except (ArityError, DuplicateFactError) as exc:
+        fact = exc.fact
+        where = f"{manifest.data_paths[fact.relation]}: line {fact.index + 2}"
+        if isinstance(exc, DuplicateFactError):
+            raise LoadError(f"{where} duplicates line {exc.first.index + 2}") from None
+        expected = len(manifest.schema.attributes(fact.relation))
+        raise LoadError(f"{where} has {len(fact.values)} values, expected {expected}") from None
 
 
 def load_fds(manifest: Manifest) -> FDSet:

@@ -13,7 +13,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .errors import InputError, SchemaError
+from .errors import ArityError, DuplicateFactError, InputError, SchemaError
 
 
 @dataclass(frozen=True)
@@ -147,17 +147,25 @@ class Database:
     facts: tuple[Fact, ...] = field(default=())
 
     def __post_init__(self):
+        """One pass checks each fact's arity, position and uniqueness."""
         by_relation: dict[str, list[Fact]] = {name: [] for name in self.schema.relation_names}
         by_id: dict[str, Fact] = {}
+        first_of: dict[tuple[str, tuple[str, ...]], Fact] = {}
         for fact in self.facts:
             attrs = self.schema.attributes(fact.relation)
             if len(fact.values) != len(attrs):
-                raise SchemaError(
-                    f"fact {fact.id} has {len(fact.values)} values, "
-                    f"expected {len(attrs)}"
+                raise ArityError(
+                    f"fact {fact.id} has {len(fact.values)} values, expected {len(attrs)}", fact
                 )
             if fact.index != len(by_relation[fact.relation]):
                 raise InputError(f"fact {fact.id} is not at position {fact.index} of its relation")
+            first = first_of.setdefault((fact.relation, fact.values), fact)
+            if first is not fact:
+                raise DuplicateFactError(
+                    f"duplicate fact in relation {fact.relation!r}: {fact.id} repeats {first.id}",
+                    fact,
+                    first,
+                )
             by_relation[fact.relation].append(fact)
             by_id[fact.id] = fact
         # Lookup indexes, built once (not fields: equality and hashing ignore them).
@@ -165,15 +173,6 @@ class Database:
             self, "_by_relation", {name: tuple(fs) for name, fs in by_relation.items()}
         )
         object.__setattr__(self, "_by_id", by_id)
-        for relation in self.schema.relation_names:
-            seen: dict[tuple[str, ...], Fact] = {}
-            for fact in self.facts_of(relation):
-                if fact.values in seen:
-                    raise InputError(
-                        f"duplicate fact in relation {relation!r}: "
-                        f"{fact.id} repeats {seen[fact.values].id}"
-                    )
-                seen[fact.values] = fact
 
     @classmethod
     def build(cls, schema: Schema, rows: dict[str, Iterable[Iterable[str]]]) -> "Database":

@@ -223,6 +223,38 @@ def test_oracle_size_limit_exits_2():
     assert json.loads(out)["error"] == "size_limit"
 
 
+# Refusal stdout, recorded from the CLI that laid the payload out with its
+# own json.dumps call.
+GOLDEN_REFUSALS = {
+    "intractable_exact": (
+        "{\n"
+        '  "error": "intractable_exact",\n'
+        '  "message": "relation \'R\' has no lhs chain up to equivalence (PTimeCRepairNoChain); '
+        "exact computation refused: use --method approx for a sampled estimate or --method "
+        'oracle on small inputs",\n'
+        '  "suggestion": "use --method approx for a sampled estimate or --method oracle on '
+        'small inputs"\n'
+        "}\n"
+    ),
+    "size_limit": (
+        "{\n"
+        '  "error": "size_limit",\n'
+        '  "message": "database has 9 facts, above the subset-enumeration limit of 4"\n'
+        "}\n"
+    ),
+}
+
+
+def test_golden_refusals(tmp_path):
+    manifest = write_matching_manifest(tmp_path)
+    code, out, _ = run(["--manifest", manifest, "shapley", "--measure", "d", "--all"])
+    assert (code, out) == (2, GOLDEN_REFUSALS["intractable_exact"])
+    code, out, _ = run(
+        ["--manifest", TRAINS, "oracle", "--measure", "mi", "--all", "--max-facts-subsets", "4"]
+    )
+    assert (code, out) == (2, GOLDEN_REFUSALS["size_limit"])
+
+
 def test_unsupported_mode_exits_2():
     code, out, _ = run(
         ["--manifest", TRAINS, "shapley", "--measure", "mi", "--all",

@@ -37,6 +37,7 @@ from incshap.errors import BudgetExceededError, InputError
 from incshap.block_tree import VertexKind
 from incshap.exact import (
     _DPS,
+    _KRONECKER_MIN,
     Game,
     _Shapes,
     _consistent_block,
@@ -44,6 +45,7 @@ from incshap.exact import (
     _convolve_rows,
     _divide,
     _kept_block,
+    _power_product,
     _product,
     _product_rows,
     _repair_sum_block,
@@ -1016,6 +1018,20 @@ def _random_table(rng, size, rows):
     return [1] + [rng.getrandbits(40) for _ in range(size)]
 
 
+def _schoolbook(a, b):
+    """The product of two coefficient lists by the double loop: no packing."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _coefficients(rng, length):
+    """Zeros, small counts and 40-bit entries."""
+    return [rng.choice((0, rng.randrange(1, 9), rng.getrandbits(40))) for _ in range(length)]
+
+
 class TestPackedProducts:
     """Grouped children (one table per distinct child, with its multiplicity)
     against the pairwise kernels given one copy per child."""
@@ -1039,6 +1055,49 @@ class TestPackedProducts:
         for trial in range(6):
             runs, expanded = self._runs(rng, (1,), rows=True, most=2)
             assert _product_rows(runs) == functools.reduce(_convolve_rows, expanded), trial
+
+    def test_convolve_equals_schoolbook_in_both_branches(self):
+        rng = random.Random(1820)
+        for trial in range(60):
+            if trial % 2:  # the loop branch: under _KRONECKER_MIN coefficient products
+                la = rng.randint(1, 15)
+                lb = rng.randint(1, (_KRONECKER_MIN - 1) // la)
+                assert la * lb < _KRONECKER_MIN
+            else:  # the packed branch
+                la = rng.randint(16, 40)
+                lb = rng.randint(-(-_KRONECKER_MIN // la), 40)
+                assert la * lb >= _KRONECKER_MIN
+            a, b = _coefficients(rng, la), _coefficients(rng, lb)
+            if trial % 7 == 0:
+                a = [0] * la
+            assert _convolve(a, b) == _schoolbook(a, b), trial
+
+    def test_power_product_equals_schoolbook(self):
+        rng = random.Random(1821)
+        for trial in range(40):
+            runs = [
+                (_coefficients(rng, rng.randint(1, 7)), rng.randint(1, 8))
+                for _ in range(rng.randint(1, 3))
+            ]
+            want = functools.reduce(_schoolbook, (t for t, m in runs for _ in range(m)))
+            assert _power_product(runs) == want, trial
+            assert _product(runs) == want, trial
+
+    def test_packed_product_with_a_zero_factor(self, monkeypatch):
+        """A one-fact subblock of a block of 300 facts empties when its fact
+        is left out, so the block's mc DP multiplies [0] by 300 binomials:
+        packed, with entries far wider than a slot sized from the zero
+        factor.  Values match the loop-only products."""
+        schema = Schema.from_dict({"R": ["A", "B", "C"]})
+        rows = [("a0", "b0", f"c{i}") for i in range(299)] + [("a0", "b1", "c0")]
+        db = Database.build(schema, {"R": rows})
+        fds = FDSet(schema, (FD("R", frozenset("A"), frozenset("B")),))
+        for kind in (MeasureKind.DRASTIC, MeasureKind.MC):
+            packed = shapley_all(db, fds, db.facts, kind)
+            assert sum(packed) == measure(kind, db, fds) - (kind is MeasureKind.MC)
+            with monkeypatch.context() as m:
+                m.setattr("incshap.exact._KRONECKER_MIN", float("inf"))
+                assert shapley_all(db, fds, db.facts, kind) == packed, kind
 
     def test_blocks_equal_one_copy_per_child(self):
         rng = random.Random(1819)
@@ -1120,6 +1179,7 @@ class TestUnitWeights:
         """A lone unit's rest is [1]: no product and no division."""
         calls = []
         monkeypatch.setattr("incshap.exact._convolve", lambda *a: calls.append(a))
+        monkeypatch.setattr("incshap.exact._power_product", lambda *a: calls.append(a))
         monkeypatch.setattr("incshap.exact._divide", lambda *a: calls.append(a))
         for kind in self.KINDS:
             _unit_weights(kind, [[1, 4, 6, 4, 1]], {0})

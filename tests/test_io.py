@@ -111,6 +111,28 @@ class TestManifestAndCsv:
         with pytest.raises(LoadError, match="line 2"):
             load_database(load_manifest(path))
 
+    def test_duplicate_in_a_later_relation_names_its_file(self, tmp_path):
+        path = _write_manifest(
+            tmp_path, {"R": ["A", "B"], "S": ["A", "B"]}, {"R": "r.csv", "S": "s.csv"},
+            "R: A -> B\n",
+        )
+        (tmp_path / "r.csv").write_text("A,B\nx,y\nz,w\n")
+        (tmp_path / "s.csv").write_text("A,B\nx,y\nz,w\nu,v\nz,w\n")
+        with pytest.raises(LoadError, match=r"s\.csv: line 5 duplicates line 3$"):
+            load_database(load_manifest(path))
+
+    def test_line_numbers_count_records(self, tmp_path):
+        """A quoted value over two physical lines is one record, one line."""
+        path = _write_manifest(
+            tmp_path, {"R": ["A", "B"]}, {"R": "r.csv"}, "R: A -> B\n"
+        )
+        (tmp_path / "r.csv").write_text('A,B\n"x\ny",1\nz,w\n"x\ny",1\n')
+        with pytest.raises(LoadError, match="line 4 duplicates line 2$"):
+            load_database(load_manifest(path))
+        (tmp_path / "r.csv").write_text('A,B\n"x\ny",1\nz\n')
+        with pytest.raises(LoadError, match="line 3 has 1 values, expected 2$"):
+            load_database(load_manifest(path))
+
     def test_header_only_is_empty_relation(self, tmp_path):
         path = _write_manifest(
             tmp_path, {"R": ["A", "B"]}, {"R": "r.csv"}, "R: A -> B\n"

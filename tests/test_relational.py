@@ -108,6 +108,22 @@ def test_duplicate_facts_rejected():
         Database.build(schema, {"R": [("a", "1"), ("a", "1")]})
 
 
+def test_duplicate_fact_error_carries_both_facts():
+    schema = Schema.from_dict({"R": ["A", "B"], "S": ["A", "B"]})
+    rows = {"R": [("a", "1"), ("b", "2"), ("a", "1")], "S": [("a", "1")]}
+    with pytest.raises(InputError, match="duplicate") as caught:
+        Database.build(schema, rows)
+    assert caught.value.fact == Fact("R", ("a", "1"), 2)
+    assert caught.value.first == Fact("R", ("a", "1"), 0)
+
+
+def test_short_fact_error_carries_the_fact():
+    schema = Schema.from_dict({"R": ["A", "B"]})
+    with pytest.raises(SchemaError, match="fact R:1 has 1 values, expected 2") as caught:
+        Database.build(schema, {"R": [("a", "1"), ("b",)]})
+    assert caught.value.fact == Fact("R", ("b",), 1)
+
+
 def test_fact_index_is_its_position_in_its_relation(trains):
     """Engines read a fact at its index in its relation, so a subset that
     keeps its ids, or facts in another order, is rejected; relations may
