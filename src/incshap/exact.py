@@ -104,12 +104,21 @@ integer product of packed integer powers (Kronecker substitution, with
 (size, kept) rows packed at stride size + 1); fewer or distinct factors
 multiply pairwise.  `_power_product` is the one packer: the long pairwise
 products and the P * s' product above are packed products of two factors
-through it.  The full fold keeps each vertex's shape and parent and
-each fact's leaf, so a fold with f left out walks up from f's leaf and
-re-interns only f's path, reading every other child's shape from the full
-fold; isomorphic siblings and units, and other facts' paths of the same
-shape hit the memo, and facts whose unit less f has one shape share one
-value.
+through it.  Its slot is sized from a bound on the product's largest
+coefficient, max(t) * prod(sum(u)^m) / sum(t) for the best factor t and
+never below a factor's own max (proved in its docstring); a slot of at
+most 8 bytes is rounded up to a machine word, packed and unpacked by
+struct in one C call, and wider ones byte string by byte string.  On the
+power path a repair-cost block shares its powers through the memo: for
+the row P of a child repeated m >= 3 times the memo keeps the packed
+P^(m-1), so the full fold takes P^(m-1) * P and a fold with a fact of that
+child left out takes P^(m-1) * Q, with Q the row of the child less the
+fact; the short factor multiplies by shifts and adds.  The full fold
+keeps each vertex's shape and parent and each fact's leaf, so a fold with
+f left out walks up from f's leaf and re-interns only f's path, reading
+every other child's shape from the full fold; isomorphic siblings and
+units, and other facts' paths of the same shape hit the memo, and facts
+whose unit less f has one shape share one value.
 
 The whole-database measure reads the same state.  The pair count is half
 the summed degrees, the problematic-fact count the number of facts with a
@@ -123,12 +132,14 @@ combines with the units the same way.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate, groupby
 from math import comb, lcm, prod
 from operator import mul
+from struct import pack, unpack
 from typing import Sequence
 
 from .block_tree import BlockTree, Vertex, VertexKind, build_tree
@@ -197,13 +208,24 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
     return _power_product([(a, 1), (b, 1)])
 
 
+# Slots of 1, 2, 4 or 8 bytes are machine words: struct packs and unpacks
+# them little-endian in one C call.
+_WORDS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
 def _pack(coefficients: list[int], width: int) -> int:
-    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coefficients), "little")
+    code = _WORDS.get(width)
+    if code is None:
+        return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in coefficients), "little")
+    return int.from_bytes(pack(f"<{len(coefficients)}{code}", *coefficients), "little")
 
 
 def _unpack(packed: int, width: int, length: int) -> list[int]:
     data = packed.to_bytes(width * length, "little")
-    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+    code = _WORDS.get(width)
+    if code is None:
+        return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+    return list(unpack(f"<{length}{code}", data))
 
 
 # A product of fewer factors than this, or with none repeated, multiplies
@@ -221,14 +243,37 @@ def _power_product(runs: list[tuple[list[int], int]]) -> list[int]:
     """Product of polynomials t^m over (t, m) runs, non-negative coefficients.
 
     One Kronecker-packed product of integer powers: each factor is packed
-    into one integer, with a slot per coefficient, and the product is
-    unpacked.  Every packed product goes through here.  No coefficient of
-    the product or of a factor exceeds the product of max(sum(t), 1)^m,
-    which sizes the slot (a zero factor, say [0], must not shrink it).
+    into one integer, with a w-byte slot per coefficient, and the product
+    is unpacked.  Every packed product goes through here.
+
+    The slot holds every coefficient of the product F.  For any factor t
+    with sum(t) > 0, F = t * R, where R is the product of the other factors
+    (and m - 1 more copies of t), so R's coefficients are non-negative and
+    add up to R(1) = F(1) / t(1).  Then F[k] = sum over i of t[i] R[k-i] <=
+    max(t) R(1) = max(t) * prod(sum(u)^m) / sum(t), for every such t; the
+    slot takes the smallest.  A zero factor makes F zero, and the factors
+    are packed too, so the bound is never below any factor's own max.  Take
+    w bytes with 2^(8w) above it, rounded up to a machine word when w <= 8.
+    Packing evaluates a polynomial at x = 2^(8w), a ring homomorphism into
+    the integers, so the packed product is F(2^(8w)) exactly, whatever
+    pow's intermediate squarings hold: they are exact integer products, and
+    their coefficients (t^e's) may overflow a slot, say when another factor
+    is zero, without harm.  Only F's coefficients are read back, as base
+    2^(8w) digits, and each lies below 2^(8w).
     """
-    width = prod(max(sum(t), 1) ** m for t, m in runs).bit_length() // 8 + 1
+    width = _slot(runs)
     packed = prod(pow(_pack(t, width), m) for t, m in runs)
     return _unpack(packed, width, sum(m * (len(t) - 1) for t, m in runs) + 1)
+
+
+def _slot(runs: list[tuple[list[int], int]]) -> int:
+    """Bytes per slot for the product of t^m over runs (see `_power_product`)."""
+    sums = [sum(t) for t, _ in runs]
+    tops = [max(t) for t, _ in runs]
+    total = prod(s**m for s, (_, m) in zip(sums, runs))
+    bound = min((top * (total // s) for top, s in zip(tops, sums) if s), default=0)
+    width = -(-max(bound, *tops).bit_length() // 8) or 1
+    return 1 << (width - 1).bit_length() if width <= 8 else width
 
 
 def _product(runs: list[tuple[list[int], int]]) -> list[int]:
@@ -315,22 +360,64 @@ def _product_rows(runs: list[tuple[list[list[int]], int]]) -> list[list[int]]:
     return [out[j * stride : j * stride + j + 1] for j in range(size + 1)]
 
 
+# The row powers of the shape memo whose block DP runs (see `_Shapes`).
+_ROW_POWERS: ContextVar[dict | None] = ContextVar("row_powers", default=None)
+
+
+def _shared_product(rows: list[tuple[list[int], int]], powers: dict) -> list[int]:
+    """Product of a block's "kept <= k" rows t^m over (t, m) runs, with one
+    power per memo for the row with the most copies.
+
+    That row P, m times, is P^(m-1) times P when m >= 3, and P^(m-1) is
+    packed once per memo: a fold of the same block less a fact of that
+    child has the run (P, m - 1) and reads the power whole.  A power is
+    kept with its slot, which serves every product whose slot is no wider.
+    It multiplies the other factors' product, a short one by shifts and
+    adds.  That product's coefficients are no larger than the whole
+    product's, as every "kept <= k" row starts with 1 (the empty subset).
+    """
+    i = max(range(len(rows)), key=lambda i: rows[i][1])
+    row, m = rows[i]
+    key = tuple(row)
+    e = m if (key, m) in powers else m - 1
+    if e < 2:
+        return _power_product(rows)
+    rest = rows[:i] + rows[i + 1 :] + [(row, 1)] * (m - e)
+    width = _slot(rows)
+    held = powers.get((key, e))
+    if held is None or held[0] < width:
+        held = powers[key, e] = (width, pow(_pack(row, width), e))
+    width, power = held
+    other = _product(rest) if rest else [1]
+    if len(other) > width:
+        packed = power * _pack(other, width)
+    else:  # a few shifts and adds cost less than one long multiply
+        packed = sum((c * power) << (8 * width * j) for j, c in enumerate(other) if c)
+    return _unpack(packed, width, sum(m * (len(t) - 1) for t, m in rows) + 1)
+
+
 def _kept_block(n: int, runs: list[tuple[list[list[int]], int]]) -> list[list[int]]:
     """A block subset keeps its best subblock part: kept is the max over children.
 
     So a block subset keeps at most k facts iff every child part does, and
     for each k the counts of "kept <= k" multiply over the children, each
-    distinct child's row raised to its multiplicity (`_product`).  Each
-    distinct child's "kept <= k" counts are prefix sums of its rows, built
-    once.  No subset keeps more than the largest child, so k stops there.
+    distinct child's row raised to its multiplicity (`_product`), or on the
+    power path with the shape memo's shared powers (`_shared_product`).
+    Each distinct child's "kept <= k" counts are prefix sums of its rows,
+    built once.  Kept sizes grow with the subset, so no block subset keeps
+    more than the most a whole child keeps (its last row's one subset), and
+    k stops there.
     """
     counts = [m for _, m in runs]
     cumulative = [[list(accumulate(row)) for row in child] for child, _ in runs]
+    powers = None if _pairwise(runs) else _ROW_POWERS.get()
     table = [[0] * (j + 1) for j in range(n + 1)]
     below = [0] * (n + 1)
-    for k in range(max(map(len, cumulative))):
+    top = max(max(k for k, c in enumerate(child[-1]) if c) for child, _ in runs)
+    for k in range(top + 1):
         parts = [[row[min(k, j)] for j, row in enumerate(child)] for child in cumulative]
-        at_most = _product(list(zip(parts, counts)))
+        rows = list(zip(parts, counts))
+        at_most = _product(rows) if powers is None else _shared_product(rows, powers)
         for j in range(k, n + 1):
             table[j][k] = at_most[j] - below[j]
         below = at_most
@@ -362,7 +449,9 @@ class _Shapes:
     every other child's shape from the full fold.  A fact's leaf is the one
     in the last tree folded that holds it, so leave-one-out folds need
     each fact in one folded tree.  Tables are shared by every vertex of
-    their shape: no caller mutates one.
+    their shape: no caller mutates one.  `powers` holds the packed row
+    powers that block DPs share (`_shared_product`), this memo's only:
+    each block DP call sees it through `_ROW_POWERS`.
     """
 
     def __init__(self, dps: tuple):
@@ -372,6 +461,7 @@ class _Shapes:
         self.full: dict[Vertex, int] = {}
         self.parent: dict[Vertex, Vertex] = {}
         self.leaf: dict[Fact, Vertex] = {}
+        self.powers: dict[tuple, tuple[int, int]] = {}
 
     def shape(self, v: Vertex, out: Fact | None = None) -> int:
         """The shape id of v, or with `out` that of v's facts less it."""
@@ -417,7 +507,13 @@ class _Shapes:
         if is_block is None:
             return leaf(size)
         runs = [(self.tables[c], len(list(group))) for c, group in groupby(children)]
-        return block(size, runs) if is_block else join(runs)
+        if not is_block:
+            return join(runs)
+        token = _ROW_POWERS.set(self.powers)
+        try:
+            return block(size, runs)
+        finally:
+            _ROW_POWERS.reset(token)
 
     def fold(self, v: Vertex, out: Fact | None = None) -> list:
         return self.tables[self.shape(v, out)]

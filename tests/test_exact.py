@@ -52,6 +52,7 @@ from incshap.exact import (
     _unit_weights,
 )
 from incshap.fd_analysis import TractabilityKind
+from incshap.oracle import shapley_bruteforce_all
 from incshap.relational import _conflict_terms
 
 from conftest import (
@@ -1010,6 +1011,83 @@ class TestShapeMemo:
             assert len(calls) <= len(db.facts), (kind, len(calls))
 
 
+def _repeated_children_instance(n, children=4):
+    """R(A,B,C) under A -> B, rows ("a0", b{i % children}, c{i}) for i < n:
+    one block whose children are leaves of n // children or n // children + 1
+    facts, so the block's "kept <= k" rows, at least four factors with a
+    repeat, multiply on the power path."""
+    schema = Schema.from_dict({"R": ["A", "B", "C"]})
+    fds = FDSet(schema, (FD("R", frozenset("A"), frozenset("B")),))
+    rows = [("a0", f"b{i % children}", f"c{i}") for i in range(n)]
+    return Database.build(schema, {"R": rows}), fds
+
+
+class TestSharedPowers:
+    """A block raises a repeated child's row once per memo, for its full fold
+    and its leave-one-out folds."""
+
+    DPS = _DPS[MeasureKind.R]
+
+    def test_values_and_folds_on_repeated_children(self):
+        for n in (12, 13, 14, 15, 16, 18):
+            db, fds = _repeated_children_instance(n)
+            game = Game(db, fds, MeasureKind.R)
+            assert game.values(db.facts) == shapley_bruteforce_all(
+                db, fds, db.facts, MeasureKind.R
+            ), n
+            assert game._shapes.powers, n
+            (unit,) = game.units("R")
+            chain = game.classes[0]["R"]
+            shapes = _Shapes(self.DPS)
+            assert shapes.fold(unit) == _plain_fold(unit, self.DPS)
+            for fact in unit.facts:
+                fresh = build_tree([g for g in unit.facts if g != fact], chain, db.schema).root
+                assert shapes.fold(unit, fact) == _plain_fold(fresh, self.DPS), (n, fact.id)
+            assert shapes.powers, n
+
+    def test_folds_with_short_factors_by_shifts(self):
+        """Ten children of ten facts: at the larger k the power's slot is
+        wider than a row has coefficients (11), so the full and leave-one-out
+        folds multiply it by shifts and adds."""
+        db, fds = _repeated_children_instance(100, children=10)
+        game = Game(db, fds, MeasureKind.R)
+        (unit,) = game.units("R")
+        shapes = _Shapes(self.DPS)
+        assert shapes.fold(unit) == _plain_fold(unit, self.DPS)
+        fact = unit.facts[0]
+        fresh = build_tree(unit.facts[1:], game.classes[0]["R"], db.schema).root
+        assert shapes.fold(unit, fact) == _plain_fold(fresh, self.DPS)
+        assert max(width for width, _ in shapes.powers.values()) >= 11
+
+    @staticmethod
+    def _poison(shapes):
+        """Add one to coefficient 0 of every power the memo holds."""
+        for key, (width, power) in shapes.powers.items():
+            shapes.powers[key] = (width, power + 1)
+
+    def test_leave_one_out_fold_reads_the_full_folds_power(self):
+        db, fds = _repeated_children_instance(16)
+        (unit,) = Game(db, fds, MeasureKind.R).units("R")
+        shapes = _Shapes(self.DPS)
+        shapes.fold(unit)
+        assert shapes.powers
+        self._poison(shapes)
+        fact = unit.facts[0]
+        assert shapes.fold(unit, fact) != _plain_fold(unit, self.DPS, fact)
+
+    def test_two_memos_share_no_power(self):
+        db, fds = _repeated_children_instance(16)
+        (unit,) = Game(db, fds, MeasureKind.R).units("R")
+        first, second = _Shapes(self.DPS), _Shapes(self.DPS)
+        first.fold(unit)
+        self._poison(first)
+        assert first.powers and not second.powers
+        assert second.fold(unit) == _plain_fold(unit, self.DPS)
+        for fact in unit.facts:
+            assert second.fold(unit, fact) == _plain_fold(unit, self.DPS, fact), fact.id
+        assert second.powers
+
+
 def _random_table(rng, size, rows):
     """A table of `size` facts with random 40-bit entries and entry 0 = 1:
     per-size counts, or (size, kept) rows when `rows`."""
@@ -1082,6 +1160,53 @@ class TestPackedProducts:
             want = functools.reduce(_schoolbook, (t for t, m in runs for _ in range(m)))
             assert _power_product(runs) == want, trial
             assert _product(runs) == want, trial
+
+    def test_power_product_at_slot_edges(self):
+        """Largest coefficients just below, at and just above 2^(8w), for
+        w = 1..9: a slot rounded down a byte or a word, or one that does not
+        hold every factor (the zero factor makes the product zero), fails."""
+        for w in range(1, 10):
+            for x in (2 ** (8 * w) - 1, 2 ** (8 * w), 2 ** (8 * w) + 1):
+                for runs in (
+                    [([x], 1), ([1, 1, 1], 1)],  # the bound is x, the largest coefficient
+                    [([x, 0, 1], 1), ([1, 1], 1)],
+                    [([1, 0, 1], 1), ([x], 1), ([0, 1], 4)],
+                    [([0], 1), ([x, 1], 3)],
+                    [([x], 1), ([0], 2)],
+                    [([x], 1)],
+                ):
+                    want = functools.reduce(_schoolbook, (t for t, m in runs for _ in range(m)))
+                    assert _power_product(runs) == want, (w, x, runs)
+
+    def test_power_product_of_many_copies(self):
+        """Multiplicities up to 50, with zero and one-coefficient factors."""
+        rng = random.Random(1822)
+        for trial in range(40):
+            runs = [
+                (_coefficients(rng, rng.choice((1, 1, 2, 3))), rng.randint(1, 50))
+                for _ in range(rng.randint(1, 3))
+            ]
+            if trial % 5 == 0:
+                runs.append(([0] * rng.randint(1, 3), rng.randint(1, 3)))
+            want = functools.reduce(_schoolbook, (t for t, m in runs for _ in range(m)))
+            assert _power_product(runs) == want, trial
+            assert _product(runs) == want, trial
+
+    def test_power_product_of_the_64_fact_blocks_children(self):
+        """The "kept <= k" rows of the two 32-fact children of the 64-fact
+        block, for every k: squared, and as two factors."""
+        db, fds = _one_block_instance(16)
+        (unit,) = Game(db, fds, MeasureKind.R).units("R")
+        shapes = _Shapes(_DPS[MeasureKind.R])
+        tables = [shapes.fold(child) for child in unit.children]
+        assert [len(t) - 1 for t in tables] == [32, 32]
+        for table in tables:
+            cumulative = [list(accumulate(row)) for row in table]
+            for k in range(33):
+                part = [row[min(k, j)] for j, row in enumerate(cumulative)]
+                want = _schoolbook(part, part)
+                assert _power_product([(part, 2)]) == want, k
+                assert _power_product([(part, 1), (part, 1)]) == want, k
 
     def test_packed_product_with_a_zero_factor(self, monkeypatch):
         """A one-fact subblock of a block of 300 facts empties when its fact
