@@ -99,26 +99,29 @@ a small int and folded once.  Equal child ids form runs, so each distinct
 child table enters its parent's DP once, with its multiplicity m: a join
 raises it to the m-th power, and a block raises its "kept <= k" row to the
 m-th power (repair cost) or adds m times its sums (drastic, repair count).
-With a repeated child among at least four, a power product is one big
-integer product of packed integer powers (Kronecker substitution, with
-(size, kept) rows packed at stride size + 1); fewer or distinct factors
-multiply pairwise.  `_power_product` is the one packer: the long pairwise
-products and the P * s' product above are packed products of two factors
-through it.  Its slot is sized from a bound on the product's largest
-coefficient, max(t) * prod(sum(u)^m) / sum(t) for the best factor t and
-never below a factor's own max (proved in its docstring); a slot of at
-most 8 bytes is rounded up to a machine word, packed and unpacked by
-struct in one C call, and wider ones byte string by byte string.  On the
-power path a repair-cost block shares its powers through the memo: for
-the row P of a child repeated m >= 3 times the memo keeps the packed
-P^(m-1), so the full fold takes P^(m-1) * P and a fold with a fact of that
-child left out takes P^(m-1) * Q, with Q the row of the child less the
-fact; the short factor multiplies by shifts and adds.  The full fold
-keeps each vertex's shape and parent and each fact's leaf, so a fold with
-f left out walks up from f's leaf and re-interns only f's path, reading
-every other child's shape from the full fold; isomorphic siblings and
-units, and other facts' paths of the same shape hit the memo, and facts
-whose unit less f has one shape share one value.
+Every chain-DP product goes through `_product`, which alone picks how to
+multiply: with a repeated factor among at least four, one big integer
+product of packed integer powers (Kronecker substitution); fewer or
+distinct factors pairwise.  A repair-cost join is one such product of its
+(size, kept) tables flattened at stride size + 1.  `_power_product` is the
+one packer: the long pairwise products and the P * s' product above are
+packed products of two factors through it.  Its slot is sized from a bound
+on the product's largest coefficient, max(t) * prod(sum(u)^m) / sum(t) for
+the best factor t and never below a factor's own max (proved in its
+docstring); a slot of at most 8 bytes is rounded up to a machine word,
+packed and unpacked by struct in one C call, and wider ones byte string by
+byte string.  On the power path a repair-cost block shares its powers
+through the memo: for the row P of a child repeated m >= 3 times the memo
+keeps the packed P^(m-1), so the full fold takes P^(m-1) * P and a fold
+with a fact of that child left out takes P^(m-1) * Q, with Q the row of
+the child less the fact; the short factor multiplies by shifts and
+adds.  At a block's last k every child's row is its whole binomial row, so
+that product is C(n, j), with no power.  The full fold keeps each vertex's
+shape and parent and each fact's leaf, so a fold with f left out walks up
+from f's leaf and re-interns only f's path, reading every other child's
+shape from the full fold; isomorphic siblings and units, and other facts'
+paths of the same shape hit the memo, and facts whose unit less f has one
+shape share one value.
 
 The whole-database measure reads the same state.  The pair count is half
 the summed degrees, the problematic-fact count the number of facts with a
@@ -276,15 +279,23 @@ def _slot(runs: list[tuple[list[int], int]]) -> int:
     return 1 << (width - 1).bit_length() if width <= 8 else width
 
 
-def _product(runs: list[tuple[list[int], int]]) -> list[int]:
-    """Product of polynomials t^m over (t, m) runs."""
+def _product(runs: list[tuple[list[int], int]], powers: dict | None = None) -> list[int]:
+    """Product of polynomials t^m over (t, m) runs, for every chain DP: pairwise,
+    or one packed power product, sharing powers through a block DP's memo."""
     if _pairwise(runs):
         return reduce(_convolve, (t for t, m in runs for _ in range(m)))
-    return _power_product(runs)
+    if powers is None:
+        return _power_product(runs)
+    return _shared_product(runs, powers)
 
 
 def _binomials(n: int) -> list[int]:
-    return [comb(n, j) for j in range(n + 1)]
+    """C(n, j) for j = 0..n, each from the last by one exact division: for
+    hundreds of facts far cheaper than n + 1 calls of comb."""
+    row = [1]
+    for j in range(n):
+        row.append(row[-1] * (n - j) // (j + 1))
+    return row
 
 
 # -- drastic: consistent-subset counts
@@ -321,42 +332,23 @@ def _repair_sum_block(n: int, runs: list[tuple[list[int], int]]) -> list[int]:
 
 def _kept_leaf(n: int) -> list[list[int]]:
     """A leaf's facts never conflict, so every subset keeps all of itself."""
-    return [[0] * j + [comb(n, j)] for j in range(n + 1)]
-
-
-def _convolve_rows(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """Join two fact sets that never conflict: sizes add and kept sizes add."""
-    na, nb = len(a) - 1, len(b) - 1
-    out = [[0] * (j + 1) for j in range(na + nb + 1)]
-    for j1 in range(na + 1):
-        for k1 in range(j1 + 1):
-            x = a[j1][k1]
-            if not x:
-                continue
-            for j2 in range(nb + 1):
-                for k2 in range(j2 + 1):
-                    y = b[j2][k2]
-                    if y:
-                        out[j1 + j2][k1 + k2] += x * y
-    return out
+    return [[0] * j + [c] for j, c in enumerate(_binomials(n))]
 
 
 def _product_rows(runs: list[tuple[list[list[int]], int]]) -> list[list[int]]:
     """Join of t^m over (t, m) runs of fact sets that never conflict.
 
-    Few or distinct tables join pairwise.  Otherwise one packed power
-    product: entry (j, k) of a table is coefficient j * (s + 1) + k, with s
-    the joined size, so kept sizes never spill into the next size.
+    Sizes add and kept sizes add, so the join is one polynomial product
+    (`_product`): entry (j, k) of a table is coefficient j * (s + 1) + k,
+    with s the joined size, so kept sizes never spill into the next size.
     """
-    if _pairwise(runs):
-        return reduce(_convolve_rows, (t for t, m in runs for _ in range(m)))
     size = sum(m * (len(t) - 1) for t, m in runs)
     stride = size + 1
     flat = [
         ([c for row in t[:-1] for c in row + [0] * (stride - len(row))] + t[-1], m)
         for t, m in runs
     ]
-    out = _power_product(flat)
+    out = _product(flat)
     return [out[j * stride : j * stride + j + 1] for j in range(size + 1)]
 
 
@@ -401,23 +393,26 @@ def _kept_block(n: int, runs: list[tuple[list[list[int]], int]]) -> list[list[in
 
     So a block subset keeps at most k facts iff every child part does, and
     for each k the counts of "kept <= k" multiply over the children, each
-    distinct child's row raised to its multiplicity (`_product`), or on the
-    power path with the shape memo's shared powers (`_shared_product`).
-    Each distinct child's "kept <= k" counts are prefix sums of its rows,
-    built once.  Kept sizes grow with the subset, so no block subset keeps
-    more than the most a whole child keeps (its last row's one subset), and
-    k stops there.
+    distinct child's row raised to its multiplicity by one `_product` call
+    with the shape memo's shared powers.  Each distinct child's "kept <= k"
+    counts are prefix sums of its rows, built once.  Kept sizes grow with
+    the subset, so no block subset keeps more than the most a whole child
+    keeps (its last row's one subset), and k stops there, where every
+    child's row is its whole binomial row and the product is C(n, j).
     """
     counts = [m for _, m in runs]
     cumulative = [[list(accumulate(row)) for row in child] for child, _ in runs]
-    powers = None if _pairwise(runs) else _ROW_POWERS.get()
+    powers = _ROW_POWERS.get()
     table = [[0] * (j + 1) for j in range(n + 1)]
     below = [0] * (n + 1)
     top = max(max(k for k, c in enumerate(child[-1]) if c) for child, _ in runs)
     for k in range(top + 1):
-        parts = [[row[min(k, j)] for j, row in enumerate(child)] for child in cumulative]
-        rows = list(zip(parts, counts))
-        at_most = _product(rows) if powers is None else _shared_product(rows, powers)
+        if k < top:
+            # Row j's "kept <= k" count is its prefix sum up to min(j, k).
+            parts = [[r[-1] for r in child[:k]] + [r[k] for r in child[k:]] for child in cumulative]
+            at_most = _product(list(zip(parts, counts)), powers)
+        else:
+            at_most = _binomials(n)
         for j in range(k, n + 1):
             table[j][k] = at_most[j] - below[j]
         below = at_most
@@ -739,9 +734,10 @@ class Game:
         if self.kind is MeasureKind.R:
             # Row j's counts add up to C(n, j), so its summed cost (j - kept)
             # is j * C(n, j) less the summed kept sizes.
-            n = len(counts) - 1
+            binomials = _binomials(len(counts) - 1)
             return [
-                j * comb(n, j) - sum(map(mul, row, range(j + 1))) for j, row in enumerate(counts)
+                j * c - sum(map(mul, row, range(j + 1)))
+                for j, (c, row) in enumerate(zip(binomials, counts))
             ]
         return counts
 

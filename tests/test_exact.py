@@ -38,11 +38,11 @@ from incshap.block_tree import VertexKind
 from incshap.exact import (
     _DPS,
     _KRONECKER_MIN,
+    _POWER_MIN,
     Game,
     _Shapes,
     _consistent_block,
     _convolve,
-    _convolve_rows,
     _divide,
     _kept_block,
     _power_product,
@@ -1022,6 +1022,27 @@ def _repeated_children_instance(n, children=4):
     return Database.build(schema, {"R": rows}), fds
 
 
+def _uneven_block_instance():
+    """R(A,B,C,D) under A -> B, AC -> D: one level-1 block whose subblock
+    children keep at most 2 (b0: c0 holds a conflicting pair), 1 (b1, one
+    fact), 4 (b2, no conflict) and 1 (b3..b5, each a conflicting pair):
+    six children with a run of three, so the block's rows below its last k
+    multiply on the power path and share powers."""
+    schema = Schema.from_dict({"R": ["A", "B", "C", "D"]})
+    fds = FDSet(
+        schema,
+        (
+            FD("R", frozenset({"A"}), frozenset({"B"})),
+            FD("R", frozenset({"A", "C"}), frozenset({"D"})),
+        ),
+    )
+    rows = [("a", "b0", "c0", "d0"), ("a", "b0", "c0", "d1"), ("a", "b0", "c1", "d0")]
+    rows += [("a", "b1", "c0", "d0")]
+    rows += [("a", "b2", f"c{c}", "d0") for c in range(4)]
+    rows += [("a", f"b{b}", "c0", f"d{d}") for b in (3, 4, 5) for d in range(2)]
+    return Database.build(schema, {"R": rows}), fds
+
+
 class TestSharedPowers:
     """A block raises a repeated child's row once per memo, for its full fold
     and its leave-one-out folds."""
@@ -1044,6 +1065,28 @@ class TestSharedPowers:
                 fresh = build_tree([g for g in unit.facts if g != fact], chain, db.schema).root
                 assert shapes.fold(unit, fact) == _plain_fold(fresh, self.DPS), (n, fact.id)
             assert shapes.powers, n
+
+    def test_children_keeping_different_maxima(self):
+        """Every (size, kept) count of the block, and of the block less one
+        fact of each child, equals subset enumeration: its last k, the most
+        its best child keeps, takes the binomial row C(n, j)."""
+        db, fds = _uneven_block_instance()
+        engine = CoalitionEvaluator(db, fds)
+        (unit,) = Game(db, fds, MeasureKind.R).units("R")
+        shapes = _Shapes(self.DPS)
+        tops = [shapes.fold(child)[-1].index(1) for child in unit.children]
+        assert sorted(tops) == [1, 1, 1, 1, 2, 4]
+        outs = [None] + [child.facts[0] for child in unit.children]
+        for out in outs:
+            mask = engine.full_mask & ~(0 if out is None else 1 << engine.bit_of[out.id])
+            bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+            want = [[0] * (j + 1) for j in range(len(bits) + 1)]
+            for j in range(len(bits) + 1):
+                for chosen in itertools.combinations(bits, j):
+                    kept = j - engine.value(MeasureKind.R, sum(1 << i for i in chosen))
+                    want[j][kept] += 1
+            assert shapes.fold(unit, out) == want, out
+        assert shapes.powers
 
     def test_folds_with_short_factors_by_shifts(self):
         """Ten children of ten facts: at the larger k the power's slot is
@@ -1105,6 +1148,18 @@ def _schoolbook(a, b):
     return out
 
 
+def _schoolbook_join(a, b):
+    """The join of two (size, kept) tables by four loops: sizes add and kept
+    sizes add, with no packing."""
+    out = [[0] * (j + 1) for j in range(len(a) + len(b) - 1)]
+    for j1, row1 in enumerate(a):
+        for k1, x in enumerate(row1):
+            for j2, row2 in enumerate(b):
+                for k2, y in enumerate(row2):
+                    out[j1 + j2][k1 + k2] += x * y
+    return out
+
+
 def _coefficients(rng, length):
     """Zeros, small counts and 40-bit entries."""
     return [rng.choice((0, rng.randrange(1, 9), rng.getrandbits(40))) for _ in range(length)]
@@ -1125,6 +1180,10 @@ class TestPackedProducts:
         ]
         return runs, [t for t, m in runs for _ in range(m)]
 
+    # Multiplicities on both sides of the pairwise rule: three factors,
+    # four distinct ones, and four with a repeat (the power path).
+    EDGES = ((1, 1, 1), (1, 1, 1, 1), (2, 1, 1), (1, 3))
+
     def test_joins_equal_pairwise_products(self):
         rng = random.Random(1818)
         for trial in range(30):
@@ -1132,7 +1191,35 @@ class TestPackedProducts:
             assert _product(runs) == functools.reduce(_convolve, expanded), trial
         for trial in range(6):
             runs, expanded = self._runs(rng, (1,), rows=True, most=2)
-            assert _product_rows(runs) == functools.reduce(_convolve_rows, expanded), trial
+            assert _product_rows(runs) == functools.reduce(_schoolbook_join, expanded), trial
+
+    def test_products_on_both_sides_of_the_pairwise_rule(self):
+        rng = random.Random(1823)
+        pairwise = [sum(c) < _POWER_MIN or max(c) == 1 for c in self.EDGES]
+        assert pairwise == [True, True, False, False]
+        for counts in self.EDGES:
+            for trial in range(4):
+                for rows, kernel, product in (
+                    (False, _schoolbook, _product),
+                    (True, _schoolbook_join, _product_rows),
+                ):
+                    runs = [(_random_table(rng, rng.randint(1, 3), rows), m) for m in counts]
+                    expanded = [t for t, m in runs for _ in range(m)]
+                    assert product(runs) == functools.reduce(kernel, expanded), (counts, trial)
+
+    def test_products_with_a_memo(self):
+        """`_product(rows, {})` equals the schoolbook product, and the memo
+        keeps a power only on the power path, for a run of three or more."""
+        rng = random.Random(1824)
+        for counts in self.EDGES + ((3, 1), (1, 1, 4), (2, 2), (5,)):
+            for trial in range(4):
+                runs = [(_random_table(rng, rng.randint(1, 4), False), m) for m in counts]
+                want = functools.reduce(_schoolbook, (t for t, m in runs for _ in range(m)))
+                powers = {}
+                assert _product(runs, powers) == want, (counts, trial)
+                power_path = sum(counts) >= _POWER_MIN and max(counts) > 1
+                assert bool(powers) == (power_path and max(counts) >= 3), (counts, trial)
+                assert _product(runs, powers) == want, (counts, trial)
 
     def test_convolve_equals_schoolbook_in_both_branches(self):
         rng = random.Random(1820)
