@@ -102,19 +102,22 @@ m-th power (repair cost) or adds m times its sums (drastic, repair count).
 Every chain-DP product goes through `_product`, which alone picks how to
 multiply: with a repeated factor among at least four, one big integer
 product of packed integer powers (Kronecker substitution); fewer or
-distinct factors pairwise.  A repair-cost join is one such product of its
-(size, kept) tables flattened at stride size + 1.  `_power_product` is the
-one packer: the long pairwise products and the P * s' product above are
-packed products of two factors through it.  Its slot is sized from a bound
-on the product's largest coefficient, max(t) * prod(sum(u)^m) / sum(t) for
-the best factor t and never below a factor's own max (proved in its
+distinct factors in pairwise rounds (`_rounds`, which also multiplies the
+units' sums into P and the relations' tables in `multi_relation_combine`).
+A repair-cost join is one such product of its (size, kept) tables
+flattened at stride size + 1.  `_power_product` is the one packer: the
+long pairwise products and the P * s' product above are packed products
+of two factors through it.  Its slot is sized from a bound on the
+product's largest coefficient, max(t) * prod(sum(u)^m) / sum(t) for the
+best factor t and never below a factor's own max (proved in its
 docstring); a slot of at most 8 bytes is rounded up to a machine word,
 packed and unpacked by struct in one C call, and wider ones byte string by
 byte string.  On the power path a repair-cost block shares its powers
-through the memo: for the row P of a child repeated m >= 3 times the memo
-keeps the packed P^(m-1), so the full fold takes P^(m-1) * P and a fold
-with a fact of that child left out takes P^(m-1) * Q, with Q the row of
-the child less the fact; the short factor multiplies by shifts and
+through the shape memo, which passes its power memo to every block DP
+call as an argument: for the row P of a child repeated m >= 3 times the
+memo keeps the packed P^(m-1), so the full fold takes P^(m-1) * P and a
+fold with a fact of that child left out takes P^(m-1) * Q, with Q the row
+of the child less the fact; the short factor multiplies by shifts and
 adds.  At a block's last k every child's row is its whole binomial row, so
 that product is C(n, j), with no power.  The full fold keeps each vertex's
 shape and parent and each fact's leaf, so a fold with f left out walks up
@@ -135,10 +138,9 @@ combines with the units the same way.
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate, groupby
 from math import comb, lcm, prod
 from operator import mul
@@ -186,8 +188,7 @@ class SizeIndexedTable:
 
 def _complement(counts: Sequence[int]) -> list[int]:
     """Per-size counts of the subsets not counted (violating <-> consistent)."""
-    n = len(counts) - 1
-    return [comb(n, j) - c for j, c in enumerate(counts)]
+    return [b - c for b, c in zip(_binomials(len(counts) - 1), counts)]
 
 
 # Above this many coefficient products, one bigint multiply beats the loop.
@@ -209,6 +210,16 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
                     out[i + j] += x * y
         return out
     return _power_product([(a, 1), (b, 1)])
+
+
+def _rounds(factors: Sequence[Sequence[int]]) -> Sequence[int]:
+    """Product of polynomials in pairwise rounds, which keep the two factors
+    of each product of like size; the empty product is [1], and a lone
+    factor is returned as it is."""
+    while len(factors) > 1:
+        last = factors[-1:] if len(factors) % 2 else []
+        factors = list(map(_convolve, factors[::2], factors[1::2])) + last
+    return factors[0] if factors else [1]
 
 
 # Slots of 1, 2, 4 or 8 bytes are machine words: struct packs and unpacks
@@ -280,10 +291,11 @@ def _slot(runs: list[tuple[list[int], int]]) -> int:
 
 
 def _product(runs: list[tuple[list[int], int]], powers: dict | None = None) -> list[int]:
-    """Product of polynomials t^m over (t, m) runs, for every chain DP: pairwise,
-    or one packed power product, sharing powers through a block DP's memo."""
+    """Product of polynomials t^m over (t, m) runs, for every chain DP: in
+    pairwise rounds, or one packed power product, sharing powers through
+    the `powers` memo that a block DP is passed."""
     if _pairwise(runs):
-        return reduce(_convolve, (t for t, m in runs for _ in range(m)))
+        return _rounds([t for t, m in runs for _ in range(m)])
     if powers is None:
         return _power_product(runs)
     return _shared_product(runs, powers)
@@ -301,7 +313,7 @@ def _binomials(n: int) -> list[int]:
 # -- drastic: consistent-subset counts
 
 
-def _consistent_block(n: int, runs: list[tuple[list[int], int]]) -> list[int]:
+def _consistent_block(n: int, runs: list[tuple[list[int], int]], powers=None) -> list[int]:
     """Consistent subsets of a block lie inside a single subblock child."""
     table = [1] + [0] * n
     for child, m in runs:
@@ -313,7 +325,7 @@ def _consistent_block(n: int, runs: list[tuple[list[int], int]]) -> list[int]:
 # -- repair count: summed repair counts
 
 
-def _repair_sum_block(n: int, runs: list[tuple[list[int], int]]) -> list[int]:
+def _repair_sum_block(n: int, runs: list[tuple[list[int], int]], powers=None) -> list[int]:
     """Summed repair counts of a block from its subblock children's.
 
     Each repair of a non-empty block subset lives in one non-empty child
@@ -352,10 +364,6 @@ def _product_rows(runs: list[tuple[list[list[int]], int]]) -> list[list[int]]:
     return [out[j * stride : j * stride + j + 1] for j in range(size + 1)]
 
 
-# The row powers of the shape memo whose block DP runs (see `_Shapes`).
-_ROW_POWERS: ContextVar[dict | None] = ContextVar("row_powers", default=None)
-
-
 def _shared_product(rows: list[tuple[list[int], int]], powers: dict) -> list[int]:
     """Product of a block's "kept <= k" rows t^m over (t, m) runs, with one
     power per memo for the row with the most copies.
@@ -388,21 +396,21 @@ def _shared_product(rows: list[tuple[list[int], int]], powers: dict) -> list[int
     return _unpack(packed, width, sum(m * (len(t) - 1) for t, m in rows) + 1)
 
 
-def _kept_block(n: int, runs: list[tuple[list[list[int]], int]]) -> list[list[int]]:
+def _kept_block(n: int, runs: list[tuple[list[list[int]], int]], powers=None) -> list[list[int]]:
     """A block subset keeps its best subblock part: kept is the max over children.
 
     So a block subset keeps at most k facts iff every child part does, and
     for each k the counts of "kept <= k" multiply over the children, each
     distinct child's row raised to its multiplicity by one `_product` call
-    with the shape memo's shared powers.  Each distinct child's "kept <= k"
-    counts are prefix sums of its rows, built once.  Kept sizes grow with
-    the subset, so no block subset keeps more than the most a whole child
-    keeps (its last row's one subset), and k stops there, where every
-    child's row is its whole binomial row and the product is C(n, j).
+    that shares powers through `powers`, the shape memo's.  Each distinct
+    child's "kept <= k" counts are prefix sums of its rows, built once.
+    Kept sizes grow with the subset, so no block subset keeps more than the
+    most a whole child keeps (its last row's one subset), and k stops
+    there, where every child's row is its whole binomial row and the
+    product is C(n, j).
     """
     counts = [m for _, m in runs]
     cumulative = [[list(accumulate(row)) for row in child] for child, _ in runs]
-    powers = _ROW_POWERS.get()
     table = [[0] * (j + 1) for j in range(n + 1)]
     below = [0] * (n + 1)
     top = max(max(k for k, c in enumerate(child[-1]) if c) for child, _ in runs)
@@ -424,7 +432,8 @@ def _kept_block(n: int, runs: list[tuple[list[list[int]], int]]) -> list[list[in
 # Per measure: the table of a leaf of n facts (they agree on every
 # constrained attribute), of a block of n facts from its subblock children's
 # tables, and of fact sets that never conflict (the children of a subblock
-# or of the root).  Children come as (table, multiplicity) runs.
+# or of the root).  Children come as (table, multiplicity) runs, and a block
+# DP is also passed the shape memo's powers, which only repair cost reads.
 _DPS = {
     MeasureKind.DRASTIC: (_binomials, _consistent_block, _product),
     MeasureKind.MC: (_binomials, _repair_sum_block, _product),
@@ -445,8 +454,8 @@ class _Shapes:
     in the last tree folded that holds it, so leave-one-out folds need
     each fact in one folded tree.  Tables are shared by every vertex of
     their shape: no caller mutates one.  `powers` holds the packed row
-    powers that block DPs share (`_shared_product`), this memo's only:
-    each block DP call sees it through `_ROW_POWERS`.
+    powers that block DPs share (`_shared_product`), this memo's only: it
+    is passed to each block DP call.
     """
 
     def __init__(self, dps: tuple):
@@ -502,13 +511,7 @@ class _Shapes:
         if is_block is None:
             return leaf(size)
         runs = [(self.tables[c], len(list(group))) for c, group in groupby(children)]
-        if not is_block:
-            return join(runs)
-        token = _ROW_POWERS.set(self.powers)
-        try:
-            return block(size, runs)
-        finally:
-            _ROW_POWERS.reset(token)
+        return block(size, runs, self.powers) if is_block else join(runs)
 
     def fold(self, v: Vertex, out: Fact | None = None) -> list:
         return self.tables[self.shape(v, out)]
@@ -593,11 +596,10 @@ def multi_relation_combine(
     # Facts of different relations never conflict, so consistent-subset
     # counts (drastic) and summed repair counts (repair count) convolve.
     if kind is MeasureKind.MC:
-        sums = reduce(_convolve, (t.counts for t in tables), [1])
+        sums = _rounds([t.counts for t in tables])
     else:
-        sums = _complement(reduce(_convolve, (_complement(t.counts) for t in tables), [1]))
-    n = len(sums) - 1
-    return [Fraction(s, comb(n, m)) for m, s in enumerate(sums)]
+        sums = _complement(_rounds([_complement(t.counts) for t in tables]))
+    return [Fraction(s, c) for s, c in zip(sums, _binomials(len(sums) - 1))]
 
 
 def _divide(p: list[int], d: Sequence[int]) -> list[int]:
@@ -643,12 +645,7 @@ def _unit_weights(
     if kind is MeasureKind.R or len(fulls) == 1:
         scales = {n: _scale(n) for n in {len(fulls[u]) - 1 for u in needed}}
         return {u: scales[len(fulls[u]) - 1] for u in needed}
-    # Pairwise rounds keep the two factors of each product of like size.
-    tables = fulls
-    while len(tables) > 1:
-        last = tables[-1:] if len(tables) % 2 else []
-        tables = list(map(_convolve, tables[::2], tables[1::2])) + last
-    product = tables[0]
+    product = _rounds(fulls)
     n = len(product) - 1
     scale, denominator = _scale(n)
     # The low n coefficients of product(x) times s reversed, one packed product.

@@ -143,11 +143,16 @@ def load_database(manifest: Manifest) -> Database:
 
 
 def load_fds(manifest: Manifest) -> FDSet:
+    """Load the FD file; a bad line is named by file and line, as in CSV files."""
+    path = manifest.fds_path
     try:
-        text = manifest.fds_path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
-        raise LoadError(f"FD file not found: {manifest.fds_path}") from None
-    return parse_fd_file(text, manifest.schema)
+        raise LoadError(f"FD file not found: {path}") from None
+    try:
+        return parse_fd_file(text, manifest.schema)
+    except ParseError as exc:
+        raise LoadError(f"{path}: {exc}") from None
 
 
 def load_instance(manifest: Manifest) -> tuple[Database, FDSet]:

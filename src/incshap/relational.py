@@ -177,6 +177,9 @@ class Database:
     @classmethod
     def build(cls, schema: Schema, rows: dict[str, Iterable[Iterable[str]]]) -> "Database":
         """Construct from per-relation row lists, assigning load indexes."""
+        unknown = next((r for r in rows if not schema.has_relation(r)), None)
+        if unknown is not None:
+            raise SchemaError(f"rows given for unknown relation {unknown!r}")
         facts = []
         for relation in schema.relation_names:
             for i, row in enumerate(rows.get(relation, ())):

@@ -73,6 +73,8 @@ class TestSampleCount:
             ApproxParams(0.0, 0.5)
         with pytest.raises(InputError):
             ApproxParams(0.5, 1.0)
+        with pytest.raises(InputError, match="sample-count override must be positive"):
+            ApproxParams(0.5, 0.5, samples_override=0)
 
 
 class TestEstimate:

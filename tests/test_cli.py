@@ -176,6 +176,8 @@ def test_seed_env_fallback(monkeypatch):
     monkeypatch.delenv("INCSHAP_SEED")
     _, explicit, _ = run(args + ["--seed", "11"])
     assert json.loads(with_env) == json.loads(explicit)
+    monkeypatch.setenv("INCSHAP_SEED", "abc")
+    assert run(args) == (1, "", "error: INCSHAP_SEED must be an integer, got 'abc'\n")
 
 
 def test_oracle_subcommand():
@@ -280,6 +282,18 @@ def test_input_errors_exit_1(tmp_path):
                                "fds": "bad.fds"}))
     code, _, err = run(["--manifest", str(bad), "classify"])
     assert code == 1 and "line 1" in err
+
+
+def test_fd_file_errors_name_the_file(tmp_path, monkeypatch):
+    """A bad FD line is named by file and line on stderr, as a bad CSV record is."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "r.fds").write_text("R A -> B\n")
+    (tmp_path / "r.csv").write_text("A,B\n")
+    manifest = {"schema": {"R": ["A", "B"]}, "data": {"R": "r.csv"}, "fds": "r.fds"}
+    (tmp_path / "m.json").write_text(json.dumps(manifest))
+    assert run(["--manifest", "m.json", "classify"]) == (
+        1, "", "error: r.fds: line 1: expected 'Relation: lhs -> rhs'\n"
+    )
 
 
 def test_rank_top_must_be_positive():

@@ -68,6 +68,18 @@ def _chain(fds, relation):
     return classify(fds)[relation].chain
 
 
+def _subset_means(evaluator, kind, facts, extra=()):
+    """E[I(S + extra)] over the size-j subsets S of `facts`, for j = 0..|facts|."""
+    means = []
+    for j in range(len(facts) + 1):
+        values = [
+            evaluator.value(kind, evaluator.mask_of(f.id for f in (*subset, *extra)))
+            for subset in itertools.combinations(facts, j)
+        ]
+        means.append(Fraction(sum(values), len(values)))
+    return means
+
+
 half = Fraction(1, 2)
 
 
@@ -367,6 +379,21 @@ class TestRTables:
         tree = build_tree(db.facts[:2], chain, db.schema)
         assert r_tables(tree).counts[2] == (0, 1, 0)
 
+    def test_expectations_match_subset_enumeration(self):
+        """Mean repair cost over size-j subsets, without and with an external fact."""
+        rng = random.Random(2828)
+        for _ in range(10):
+            db, fds = random_instance(rng, chain=True)
+            evaluator = CoalitionEvaluator(db, fds)
+            *base, external = db.facts
+            tree = build_tree(base, _chain(fds, "R"), db.schema)
+            assert r_tables(tree).expectations() == _subset_means(
+                evaluator, MeasureKind.R, base
+            )
+            assert r_tables(tree, external).expectations() == _subset_means(
+                evaluator, MeasureKind.R, base, (external,)
+            )
+
     def test_cost_rows_partition_subsets(self, trains):
         """Every subset has exactly one repair cost."""
         db, fds = trains
@@ -633,6 +660,17 @@ class TestMultiRelation:
                 assert shapley_exact(db, fds, fact, kind) == (
                     shapley_bruteforce_subsets(db, fds, fact, kind, engine=engine)
                 )
+
+    def test_combine_matches_subset_enumeration(self):
+        """Both combinable measures over two relations' root tables."""
+        rng = random.Random(2929)
+        for _ in range(10):
+            db, fds = random_two_relation_instance(rng)
+            evaluator = CoalitionEvaluator(db, fds)
+            trees = [build_tree(db.facts_of(r), _chain(fds, r), db.schema) for r in ("R", "S")]
+            for kind, tables in ((MeasureKind.DRASTIC, drastic_tables), (MeasureKind.MC, mc_tables)):
+                combined = multi_relation_combine(kind, [tables(tree) for tree in trees])
+                assert combined == _subset_means(evaluator, kind, db.facts), kind
 
     def test_consistent_relation_degenerates(self):
         """A relation that cannot violate only reweighs the other's tables."""
@@ -977,14 +1015,15 @@ class TestShapeMemo:
         leaf, block, join = _DPS[MeasureKind.R]
         children = []
 
-        def counting(dp):
+        def counting(dp, at):
+            # The runs: a block's second argument, a join's first.
             def counted(*args):
-                children.append(sum(m for _, m in args[-1]))
+                children.append(sum(m for _, m in args[at]))
                 return dp(*args)
 
             return counted
 
-        monkeypatch.setitem(_DPS, MeasureKind.R, (leaf, counting(block), counting(join)))
+        monkeypatch.setitem(_DPS, MeasureKind.R, (leaf, counting(block, 1), counting(join, 0)))
         counts = {}
         for k in (8, 16):
             db, fds = _one_block_instance(k)

@@ -11,6 +11,7 @@ from incshap import (
     FD,
     FDSet,
     Schema,
+    TractabilityClass,
     TractabilityKind,
     attribute_closure,
     classify,
@@ -140,6 +141,12 @@ class TestClassify:
         schema = Schema.from_dict({"R": ["A", "B", "C"]})
         fds = FDSet(schema, (fd("R", {"A"}, {"C"}), fd("R", {"B"}, {"C"})))
         assert classify(fds)["R"].kind is TractabilityKind.HARD_CREPAIR
+
+    def test_malformed_inputs_rejected(self):
+        with pytest.raises(InputError, match="LhsChain classification requires the chain order"):
+            TractabilityClass(TractabilityKind.LHS_CHAIN)
+        with pytest.raises(InputError, match="expected FDs over a single relation"):
+            classify_relation((fd("R", {"A"}, {"B"}), fd("S", {"A"}, {"B"})))
 
     def test_no_fds_is_chain(self):
         schema = Schema.from_dict({"R": ["A"]})

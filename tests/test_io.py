@@ -11,6 +11,7 @@ from incshap import (
     build_conflict_graph,
     database_to_csv,
     load_database,
+    load_fds,
     load_instance,
     load_manifest,
     parse_fd_file,
@@ -57,6 +58,10 @@ class TestFdFile:
             parse_fd_file("R: A B", SCHEMA)
         with pytest.raises(ParseError, match="'->'"):
             parse_fd_file("R: A -> B -> A", SCHEMA)
+
+    def test_line_without_colon(self):
+        with pytest.raises(ParseError, match="line 1: expected 'Relation: lhs -> rhs'"):
+            parse_fd_file("R A -> B", SCHEMA)
 
     def test_underscore_must_stand_alone(self):
         with pytest.raises(ParseError, match="stand alone"):
@@ -166,6 +171,8 @@ class TestManifestAndCsv:
              "schema of 'R' must be a list of strings"),
             ({"schema": {"R": ["A"]}, "data": {"R": 3}, "fds": "deps.fds"},
              "data path of 'R' must be a string"),
+            ({"schema": {"R": ["A"]}, "data": {"S": "s.csv"}, "fds": "deps.fds"},
+             "manifest data names unknown relation 'S'"),
         ],
     )
     def test_malformed_manifest_names_key(self, tmp_path, manifest, message):
@@ -173,6 +180,21 @@ class TestManifestAndCsv:
         bad.write_text(json.dumps(manifest))
         with pytest.raises(LoadError, match=message):
             load_manifest(bad)
+
+    def test_missing_and_unreadable_files_named(self, tmp_path):
+        bad = tmp_path / "m.json"
+        bad.write_text("{")
+        with pytest.raises(LoadError, match="is not valid JSON"):
+            load_manifest(bad)
+        path = _write_manifest(tmp_path, {"R": ["A", "B"]}, {"R": "r.csv"}, "R: A -> B\n")
+        with pytest.raises(LoadError, match="data file not found: .*r\\.csv$"):
+            load_database(load_manifest(path))
+        (tmp_path / "r.csv").write_text("")
+        with pytest.raises(LoadError, match=r"r\.csv: missing header row$"):
+            load_database(load_manifest(path))
+        (tmp_path / "deps.fds").unlink()
+        with pytest.raises(LoadError, match=r"FD file not found: .*deps\.fds$"):
+            load_fds(load_manifest(path))
 
     def test_quoted_values_roundtrip(self, tmp_path):
         path = _write_manifest(

@@ -8,10 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incshap import (
+    CoalitionEvaluator,
     Database,
     FD,
     Fact,
     FDSet,
+    Game,
+    MeasureKind,
     Schema,
     SchemaError,
     build_conflict_graph,
@@ -47,6 +50,51 @@ def test_violates_rejects_unknown_schema(mini):
     alien = Fact("Q", ("1",), 0)
     with pytest.raises(SchemaError):
         violates(alien, alien, fds)
+    short = Fact("R", ("a",), 0)
+    with pytest.raises(SchemaError, match="fact R:0 has the wrong arity for its relation"):
+        violates(short, short, fds)
+
+
+AB = Schema.from_dict({"R": ["A", "B"]})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Schema((("R", ("A",)), ("R", ("B",)))), "duplicate relation name 'R'"),
+        (lambda: Schema.from_dict({"R": []}), "relation 'R' has no attributes"),
+        (lambda: Schema.from_dict({"R": ["A", "A"]}), "relation 'R' has duplicate attributes"),
+        (lambda: FDSet(AB, (FD("R", frozenset("A"), frozenset("Z")),)),
+         r"FD R: A -> Z uses unknown attributes \['Z'\]"),
+        (lambda: FDSet(AB, (FD("R", frozenset("A"), frozenset()),)),
+         "has an empty right-hand side"),
+        (lambda: FDSet(AB, ()).per_relation("U"), "unknown relation 'U'"),
+    ],
+    ids=["duplicate-relation", "no-attributes", "duplicate-attribute", "unknown-attribute",
+         "empty-rhs", "unknown-relation"],
+)
+def test_malformed_schemas_and_fd_sets_rejected(build, message):
+    with pytest.raises(SchemaError, match=message):
+        build()
+
+
+def test_build_rejects_rows_of_an_unknown_relation():
+    """Rows of a relation outside the schema are refused, not dropped."""
+    with pytest.raises(SchemaError, match="rows given for unknown relation 'X'"):
+        Database.build(AB, {"X": [("x", "y")], "R": [("a", "1")]})
+
+
+@pytest.mark.parametrize(
+    "check",
+    [build_conflict_graph, is_consistent, CoalitionEvaluator,
+     lambda db, fds: Game(db, fds, MeasureKind.MI)],
+    ids=["conflict-graph", "is-consistent", "evaluator", "game"],
+)
+def test_database_and_fds_over_different_schemas_rejected(check):
+    db = Database.build(AB, {"R": [("a", "1")]})
+    fds = FDSet(Schema.from_dict({"R": ["A", "C"]}), ())
+    with pytest.raises(SchemaError, match="database and FD set are over different schemas"):
+        check(db, fds)
 
 
 def test_conflict_graph_matches_brute_force(trains):
