@@ -140,7 +140,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate, groupby
 from math import comb, lcm, prod
 from operator import mul
@@ -214,12 +214,13 @@ def _convolve(a: list[int], b: list[int]) -> list[int]:
 
 def _rounds(factors: Sequence[Sequence[int]]) -> Sequence[int]:
     """Product of polynomials in pairwise rounds, which keep the two factors
-    of each product of like size; the empty product is [1], and a lone
-    factor is returned as it is."""
-    while len(factors) > 1:
+    of each product of like size, down to three factors, multiplied left to
+    right as their rounds would; the empty product is [1], and a lone factor
+    is returned as it is."""
+    while len(factors) > 3:
         last = factors[-1:] if len(factors) % 2 else []
         factors = list(map(_convolve, factors[::2], factors[1::2])) + last
-    return factors[0] if factors else [1]
+    return reduce(_convolve, factors) if factors else [1]
 
 
 # Slots of 1, 2, 4 or 8 bytes are machine words: struct packs and unpacks

@@ -4,7 +4,8 @@ Field order is fixed so that identical inputs (and seed) produce
 byte-identical JSON: measure, method, facts, total_measure,
 efficiency_check, approx.  Rationals serialize as decimal-digit strings
 for numerator and denominator; the decimal sidecar is rounded half-even
-to 12 significant digits.
+to 12 significant digits.  The layout is that of `json.dumps` with an
+indent of 2, written by hand: with an indent CPython encodes in pure Python.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import decimal
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as quote
 from math import lcm
 
 from .approx import Estimate
@@ -27,15 +29,6 @@ def decimal_str(value: Fraction) -> str:
             decimal.Decimal(value.numerator), decimal.Decimal(value.denominator)
         )
     )
-
-
-def fact_entry(fact_id: str, value: Fraction) -> dict:
-    return {
-        "fact": fact_id,
-        "numerator": str(value.numerator),
-        "denominator": str(value.denominator),
-        "decimal": decimal_str(value),
-    }
 
 
 def empty_set_value(kind: MeasureKind) -> int:
@@ -59,10 +52,19 @@ def build_report(
         scale = lcm(*(value.denominator for _, value in entries))
         total = sum(value.numerator * (scale // value.denominator) for _, value in entries)
         efficiency = total == (total_measure - empty_set_value(kind)) * scale
+    # One set of strings per distinct value, keyed on the int pair: a Fraction hashes slowly.
+    bodies = {}
+    facts = []
+    for fid, value in entries:
+        pair = value.numerator, value.denominator
+        if pair not in bodies:
+            bodies[pair] = str(pair[0]), str(pair[1]), decimal_str(value)
+        num, den, dec = bodies[pair]
+        facts.append({"fact": fid, "numerator": num, "denominator": den, "decimal": dec})
     report = {
         "measure": kind.value,
         "method": method,
-        "facts": [fact_entry(fid, value) for fid, value in entries],
+        "facts": facts,
         "total_measure": total_measure,
         "efficiency_check": efficiency,
         "approx": approx_meta,
@@ -75,5 +77,31 @@ def build_report(
     return report
 
 
+_ENTRY = (
+    '    {\n      "fact": %s,\n      "numerator": "%s",\n      "denominator": "%s",\n'
+    '      "decimal": "%s"'
+)
+_SAMPLES = ',\n      "samples": %d,\n      "guarantee": "%s"'
+
+
 def render_report(report: dict) -> str:
-    return json.dumps(report, indent=2, separators=(",", ": "))
+    """The bytes `json.dumps` prints for a report or a refusal payload with
+    an indent of 2 and separators "," and ": ".  A list member is the fact
+    list, one format per entry (every field but the fact id is ASCII as it
+    is); a dict member is a flat object; any other is a scalar."""
+    members = []
+    for key, value in report.items():
+        if isinstance(value, list):
+            entries = [_ENTRY % (quote(e["fact"]), e["numerator"], e["denominator"], e["decimal"])
+                       for e in value]
+            if value and "samples" in value[0]:
+                entries = [t + _SAMPLES % (e["samples"], e["guarantee"])
+                           for t, e in zip(entries, value)]
+            text = "[\n" + "\n    },\n".join(entries) + "\n    }\n  ]" if value else "[]"
+        elif isinstance(value, dict):
+            lines = [f"    {quote(k)}: {json.dumps(v)}" for k, v in value.items()]
+            text = "{\n" + ",\n".join(lines) + "\n  }"
+        else:
+            text = json.dumps(value)
+        members.append(f"  {quote(key)}: {text}")
+    return "{\n" + ",\n".join(members) + "\n}"

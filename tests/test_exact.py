@@ -49,6 +49,7 @@ from incshap.exact import (
     _product,
     _product_rows,
     _repair_sum_block,
+    _rounds,
     _unit_weights,
 )
 from incshap.fd_analysis import TractabilityKind
@@ -1275,6 +1276,23 @@ class TestPackedProducts:
             if trial % 7 == 0:
                 a = [0] * la
             assert _convolve(a, b) == _schoolbook(a, b), trial
+
+    def test_rounds_of_zero_to_five_factors(self):
+        """The empty product is [1], a lone factor comes back as it is, and
+        two to five factors, short or long enough to pack, equal the
+        schoolbook product."""
+        rng = random.Random(1825)
+        assert _rounds([]) == [1]
+        for n in range(1, 6):
+            for trial in range(6):
+                factors = [
+                    _coefficients(rng, rng.choice((rng.randint(1, 7), rng.randint(16, 40))))
+                    for _ in range(n)
+                ]
+                product = _rounds(factors)
+                assert product == functools.reduce(_schoolbook, factors), (n, trial)
+                if n == 1:
+                    assert product is factors[0]
 
     def test_power_product_equals_schoolbook(self):
         rng = random.Random(1821)
