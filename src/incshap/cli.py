@@ -228,6 +228,8 @@ _COMMANDS = {
 def run_command(argv, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
+    if hasattr(sys, "set_int_max_str_digits"):  # counts print in full, past 4300 digits
+        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

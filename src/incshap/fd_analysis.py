@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement
 from typing import Iterable
 
 from .errors import InputError
-from .relational import FD, FDSet
+from .relational import FD, FDSet, merge_lhs
 
 
 class TractabilityKind(enum.Enum):
@@ -80,6 +80,7 @@ def minimal_cover(fds: Iterable[FD]) -> tuple[FD, ...]:
         return tuple(FD(relation, lhs, frozenset({b})) for lhs, b in pairs)
 
     # Remove extraneous lhs attributes.
+    work_fds = fd_objects(work)
     reduced: list[tuple[frozenset[str], str]] = []
     for lhs, b in work:
         current = set(lhs)
@@ -87,7 +88,7 @@ def minimal_cover(fds: Iterable[FD]) -> tuple[FD, ...]:
             if a not in current:
                 continue
             trial = frozenset(current - {a})
-            if b in attribute_closure(trial, fd_objects(work)):
+            if b in attribute_closure(trial, work_fds):
                 current.discard(a)
         reduced.append((frozenset(current), b))
     reduced = list(dict.fromkeys(reduced))
@@ -100,12 +101,7 @@ def minimal_cover(fds: Iterable[FD]) -> tuple[FD, ...]:
         if b in attribute_closure(lhs, fd_objects(rest)):
             kept = rest
 
-    # Merge equal left-hand sides.
-    merged: dict[frozenset[str], set[str]] = {}
-    for lhs, b in kept:
-        merged.setdefault(lhs, set()).add(b)
-    out = [FD(relation, lhs, frozenset(rhs)) for lhs, rhs in merged.items()]
-    return tuple(sorted(out, key=FD.sort_key))
+    return tuple(sorted(merge_lhs(fd_objects(kept)), key=FD.sort_key))
 
 
 def lhs_chain_order(fds: Iterable[FD]) -> tuple[FD, ...] | None:
@@ -114,17 +110,13 @@ def lhs_chain_order(fds: Iterable[FD]) -> tuple[FD, ...] | None:
     Equal-lhs FDs are merged first; chain comparability concerns the lhs only.
     """
     fds = tuple(fds)
-    relation = _single_relation(fds)
-    if relation is None:
+    if _single_relation(fds) is None:
         return ()
-    merged: dict[frozenset[str], set[str]] = {}
-    for fd in fds:
-        merged.setdefault(fd.lhs, set()).update(fd.rhs)
-    lhss = sorted(merged, key=lambda s: (len(s), tuple(sorted(s))))
-    for a, b in zip(lhss, lhss[1:]):
-        if not a <= b:
+    chain = tuple(sorted(merge_lhs(fds), key=FD.sort_key))
+    for a, b in zip(chain, chain[1:]):
+        if not a.lhs <= b.lhs:
             return None
-    return tuple(FD(relation, lhs, frozenset(merged[lhs])) for lhs in lhss)
+    return chain
 
 
 def _remove_attributes(fds: tuple[FD, ...], attrs: frozenset[str]) -> tuple[FD, ...]:
@@ -166,7 +158,7 @@ def _is_removable(x: frozenset[str], y: frozenset[str], fds: tuple[FD, ...]) -> 
 
 def _removable_pairs(fds: tuple[FD, ...]):
     candidates = _removable_candidates(fds)
-    for x, y in product(candidates, repeat=2):
+    for x, y in combinations_with_replacement(candidates, 2):
         if _is_removable(x, y, fds):
             yield x, y
 

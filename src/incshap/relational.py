@@ -1,5 +1,6 @@
 """Relational core: schemas, facts, databases, FDs, conflict graphs, and
-sums over conflict partners from group counts.
+sums over conflict partners from group counts.  `Schema.key` is the one
+grouping key, of conflict graphs, block trees and partner sums alike.
 
 Constants are opaque strings compared by exact equality; databases are sets
 (duplicate rows within a relation are rejected).  Everything here is
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .errors import ArityError, DuplicateFactError, InputError, SchemaError
 
@@ -62,18 +63,21 @@ class Schema:
                 f"unknown attribute {attribute!r} in relation {relation!r}"
             ) from None
 
-    def project(self, fact: "Fact", attributes: Iterable[str]) -> tuple[str, ...]:
-        """Values of `fact` on `attributes`, in sorted attribute order."""
-        return tuple(
-            fact.values[self.position(fact.relation, a)] for a in sorted(attributes)
-        )
+    def key(self, relation: str, attributes: Iterable[str]) -> Callable[[tuple], Hashable]:
+        """A function from a fact's values to a key that two facts of `relation`
+        share iff they agree on `attributes`; the names are checked once."""
+        self.attributes(relation)
+        positions = [self.position(relation, a) for a in sorted(attributes)]
+        return itemgetter(*positions) if positions else lambda values: ()
 
     def group(self, facts: Iterable["Fact"], attributes: Iterable[str]) -> list[tuple["Fact", ...]]:
-        """Maximal groups of `facts` equal on `attributes`, in first-fact order:
-        the one grouping rule of conflict graphs and block trees."""
-        groups: dict[tuple[str, ...], list[Fact]] = {}
+        """Maximal groups of `facts` (of one relation) equal on `attributes`, in
+        first-fact order: the one grouping rule of conflict graphs and block trees."""
+        facts = tuple(facts)
+        key = self.key(facts[0].relation, attributes) if facts else None
+        groups: dict[Hashable, list[Fact]] = {}
         for fact in facts:
-            groups.setdefault(self.project(fact, attributes), []).append(fact)
+            groups.setdefault(key(fact.values), []).append(fact)
         return [tuple(g) for g in groups.values()]
 
 
@@ -256,13 +260,14 @@ def violates(f: Fact, g: Fact, fds: FDSet) -> bool:
     _check_same_schema(f, g, fds)
     if f.relation != g.relation:
         return False
-    schema = fds.schema
-    for fd in fds.per_relation(f.relation):
-        if schema.project(f, fd.lhs) == schema.project(g, fd.lhs) and (
-            schema.project(f, fd.rhs) != schema.project(g, fd.rhs)
-        ):
-            return True
-    return False
+
+    def agree(attributes):
+        return all(
+            f.values[p] == g.values[p]
+            for p in (fds.schema.position(f.relation, a) for a in attributes)
+        )
+
+    return any(agree(fd.lhs) and not agree(fd.rhs) for fd in fds.per_relation(f.relation))
 
 
 def build_conflict_graph(db: Database, fds: FDSet) -> dict[str, ConflictGraph]:
@@ -291,17 +296,24 @@ def build_conflict_graph(db: Database, fds: FDSet) -> dict[str, ConflictGraph]:
     return graphs
 
 
+def merge_lhs(fds: Iterable[FD]) -> tuple[FD, ...]:
+    """One FD per distinct lhs of `fds` (one relation's), in first-FD order,
+    whose rhs is the union of the rhs of the FDs with that lhs."""
+    merged: dict[frozenset[str], FD] = {}
+    for fd in fds:
+        prior = merged.get(fd.lhs)
+        merged[fd.lhs] = fd if prior is None else FD(fd.relation, fd.lhs, prior.rhs | fd.rhs)
+    return tuple(merged.values())
+
+
 def _conflict_terms(fds: Iterable[FD]) -> list[tuple[frozenset[str], int]]:
     """Signed attribute sets (S, c): the c of the sets on which g agrees with
     f sum to 1 if g conflicts with f, else to 0.  This expands 1 - product
     over FDs of (1 - [agree on lhs] + [agree on lhs + rhs]); indicators
     multiply as their sets unite, and equal sets merge after each factor.
     FDs that share an lhs merge first, which keeps their conflicts."""
-    closed: dict[frozenset[str], frozenset[str]] = {}
-    for fd in fds:
-        closed[fd.lhs] = closed.get(fd.lhs, fd.lhs) | fd.rhs
     product = {frozenset(): 1}
-    for lhs, full in closed.items():
+    for lhs, full in ((fd.lhs, fd.lhs | fd.rhs) for fd in merge_lhs(fds)):
         step: dict[frozenset[str], int] = {}
         for s, c in product.items():
             for t, d in ((s, c), (s | lhs, -c), (s | full, c)):
@@ -319,10 +331,9 @@ def partner_sums(db: Database, fds: FDSet, relation: str, weights: list[int]) ->
     equal to the fact on S; the fact's own weight cancels, as no fact
     conflicts with itself."""
     rows = [f.values for f in db.facts_of(relation)]
-    position = db.schema.attributes(relation).index
     sums = [0] * len(rows)
     for attrs, c in _conflict_terms(fds.per_relation(relation)):
-        keys = list(map(itemgetter(*map(position, attrs)), rows)) if attrs else [()] * len(rows)
+        keys = list(map(db.schema.key(relation, attrs), rows))
         groups: dict = {}
         for key, w in zip(keys, weights):
             groups[key] = groups.get(key, 0) + w

@@ -93,6 +93,32 @@ def test_measure():
     assert code == 0 and out.strip() == "5"
 
 
+def test_counts_print_past_the_int_string_limit(tmp_path):
+    """3^1350 repairs (645 digits) under a 640-digit int-to-string limit:
+    both the measure and a sampled report print the count in full."""
+    rows = "".join(f"a{a},b{b}\n" for a in range(1350) for b in range(3))
+    (tmp_path / "r.csv").write_text("A,B\n" + rows)
+    (tmp_path / "r.fds").write_text("R: A -> B\n")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"schema": {"R": ["A", "B"]}, "data": {"R": "r.csv"}, "fds": "r.fds"}))
+    count = 3**1350
+    expected = str(count)
+    has_limit = hasattr(sys, "set_int_max_str_digits")
+    if has_limit:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+    try:
+        measured = run(["--manifest", str(manifest), "measure", "--measure", "mc"])
+        sampled = run(["--manifest", str(manifest), "shapley", "--measure", "mc", "--all",
+                       "--method", "approx", "--samples", "1"])
+    finally:
+        if has_limit:
+            sys.set_int_max_str_digits(limit)
+    assert measured == (0, expected + "\n", "")
+    assert sampled[0] == 0
+    assert json.loads(sampled[1])["total_measure"] == count
+
+
 def test_shapley_report_all():
     code, out, _ = run(
         ["--manifest", TRAINS, "shapley", "--measure", "p", "--all"]

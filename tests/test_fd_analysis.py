@@ -23,6 +23,7 @@ from incshap import (
 )
 from incshap.errors import InputError
 from incshap.fd_analysis import _emptiable
+from incshap.relational import merge_lhs
 
 from conftest import random_arbitrary_fds, random_chain_fds, random_rows
 
@@ -167,3 +168,20 @@ class TestClassify:
             cover = minimal_cover(random_chain_fds(rng, "R"))
             assert lhs_chain_order(cover) is not None
             assert _emptiable(cover)
+
+
+def test_merge_lhs_keeps_first_fd_order_and_unions_rhs():
+    fds = (
+        fd("R", {"B"}, {"C"}),
+        fd("R", {"A"}, {"B"}),
+        fd("R", {"B"}, {"D"}),
+        fd("R", set(), {"A"}),
+        fd("R", {"A"}, {"B", "E"}),
+    )
+    assert merge_lhs(fds) == (
+        fd("R", {"B"}, {"C", "D"}),
+        fd("R", {"A"}, {"B", "E"}),
+        fd("R", set(), {"A"}),
+    )
+    assert merge_lhs(fds[:2]) == fds[:2]
+    assert merge_lhs(()) == ()

@@ -279,3 +279,62 @@ def test_lookups_by_id_relation_and_attribute():
         schema.attributes("U")
     assert schema.has_relation("T") and not schema.has_relation("U")
     assert schema == Schema.from_dict({"R": ["A", "B"], "S": ["C"], "T": ["D"]})
+
+
+def test_key_agrees_with_value_equality():
+    """Two facts share a key iff they agree on the attributes, for 0, 1 and
+    2+ attributes; one attribute keys on the bare value, not a tuple."""
+    schema = Schema.from_dict({"R": ["A", "B", "C"]})
+    rows = [(a, b, c) for a in "xy" for b in "12" for c in "pq"]
+    for attrs in ((), ("B",), ("A", "C"), ("C", "B", "A")):
+        key = schema.key("R", attrs)
+        positions = [schema.position("R", a) for a in attrs]
+        for u, v in itertools.product(rows, repeat=2):
+            agree = all(u[p] == v[p] for p in positions)
+            assert (key(u) == key(v)) is agree
+    assert schema.key("R", ["B"])(("x", "1", "p")) == "1"
+    assert schema.key("R", ["B", "A"])(("x", "1", "p")) == ("x", "1")
+    assert schema.key("R", [])(("x", "1", "p")) == ()
+
+
+def test_key_rejects_unknown_names_before_reading_a_fact():
+    schema = Schema.from_dict({"R": ["A", "B"]})
+    with pytest.raises(SchemaError, match="unknown relation 'U'"):
+        schema.key("U", [])
+    with pytest.raises(SchemaError, match="unknown relation 'U'"):
+        schema.key("U", ["A"])
+    with pytest.raises(SchemaError, match="unknown attribute 'Z' in relation 'R'"):
+        schema.key("R", ["A", "Z"])
+    with pytest.raises(SchemaError, match="unknown attribute 'Z' in relation 'R'"):
+        schema.group([Fact("R", ("a", "1"), 0)], ["Z"])
+
+
+def test_group_keeps_first_fact_order():
+    schema = Schema.from_dict({"R": ["A", "B"]})
+    db = Database.build(schema, {"R": [("b", "1"), ("a", "1"), ("b", "2"), ("c", "1"), ("a", "2")]})
+    f = db.facts
+    assert schema.group(f, ["A"]) == [(f[0], f[2]), (f[1], f[4]), (f[3],)]
+    assert schema.group(f, ["B"]) == [(f[0], f[1], f[3]), (f[2], f[4])]
+    assert schema.group(f, []) == [f]
+    assert schema.group(f, ["A", "B"]) == [(x,) for x in f]
+    assert schema.group((), ["A"]) == []
+
+
+def test_group_looks_up_positions_once_per_call(monkeypatch):
+    """`Schema.group` resolves names to positions per call, not per fact."""
+    schema = Schema.from_dict({"R": ["A", "B", "C"]})
+    calls = []
+    position = Schema.position
+
+    def counting(self, relation, attribute):
+        calls.append(attribute)
+        return position(self, relation, attribute)
+
+    monkeypatch.setattr(Schema, "position", counting)
+    counts = []
+    for n in (10, 1000):
+        facts = [Fact("R", (f"a{i % 7}", f"b{i % 3}", f"c{i}"), i) for i in range(n)]
+        calls.clear()
+        assert len(schema.group(facts, ["A", "B"])) == min(n, 21)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
