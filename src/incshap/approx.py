@@ -11,7 +11,8 @@ One permutation per sample index serves every requested fact, whose
 marginal is value(prefix + f) - value(prefix) for the prefix of facts
 before it; ``CoalitionEvaluator.walk`` walks the permutation and sums
 them.  A permutation shuffles the facts in load order, whatever bits the
-evaluator gives them, by the Fisher-Yates loop of ``random.shuffle``.  A
+evaluator gives them, by the Fisher-Yates loop of ``random.shuffle``,
+whose steps and draw widths an estimate lists once for all its samples.  A
 fact's marginals do not depend on which other facts are requested, so
 estimating facts together or one at a time gives identical values.
 """
@@ -128,16 +129,22 @@ def _sample_rng(seed: int, index: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _shuffle(rng: random.Random, x: list) -> None:
-    """Shuffle ``x`` in place as ``rng.shuffle(x)`` does.
+def _shuffle_plan(n: int) -> list[tuple[int, int]]:
+    """The Fisher-Yates steps of ``random.shuffle`` on n items: each position
+    i from the last down to 1, with the bit width of its draw."""
+    return [(i, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
+
+
+def _shuffle(rng: random.Random, x: list, plan: list[tuple[int, int]]) -> None:
+    """Shuffle ``x`` in place as ``rng.shuffle(x)`` does, by the steps
+    ``_shuffle_plan(len(x))`` gives.
 
     The Fisher-Yates loop and the rejection rule of CPython's
     ``random.shuffle``, on ``getrandbits``: the same draws give the same
     permutation, without a method call per draw.
     """
     getrandbits = rng.getrandbits
-    for i in range(len(x) - 1, 0, -1):
-        k = (i + 1).bit_length()
+    for i, k in plan:
         j = getrandbits(k)
         while j > i:
             j = getrandbits(k)
@@ -169,10 +176,11 @@ def estimate_all(
     # Shuffling moves positions, not values: the facts come in the same
     # order whatever bit each one has.
     order_template = [engine.bit_of[fact.id] for fact in db.facts]
+    plan = _shuffle_plan(n)
     bound = marginal_bound(kind, n)
     for index in range(samples):
         order = order_template[:]
-        _shuffle(_sample_rng(params.seed, index), order)
+        _shuffle(_sample_rng(params.seed, index), order, plan)
         engine.walk(kind, order, totals, bound)
     return [
         Estimate(

@@ -13,34 +13,39 @@ case and honor an optional node budget that counts memo misses only: vertex
 covers are memoized per induced subgraph, repair counts per search state.
 
 The evaluator numbers its bits one conflict component at a time, so a
-component is a contiguous bit range.  Its searches and memos work on the
-component's small local masks: a coalition splits into one local mask per
-component it meets, with a shift and a mask.  The empty set is one entry
-of the vertex-cover memo for all components, so every search spends the
-nodes it would on one memo keyed by fact set.  ``value`` keeps no memo of
-its own.  A component's r is the cover memo's entry for its local mask,
-and its mc the repair-count memo's entry for the state that excludes
-nothing, which is the repair count of that mask.  A miss splits the mask
-into connected parts and searches each on a node counter of its own; a
-hit spends nothing, also on a mask that a search stored.
+component is a contiguous bit range.  ``relational.conflict_components``
+finds the components from lhs groups, and one ``partner_sums`` pass that
+weighs each fact by its bit within its component gives the masks, so no
+sum is wider than its component and memory stays linear in the facts.
+Its searches and memos work on the component's small local masks: a
+coalition splits into one local mask per component it meets, with a shift
+and a mask.  The empty set is one entry of the vertex-cover memo for all
+components, so every search spends the nodes it would on one memo keyed by
+fact set.  ``value`` keeps no memo of its own.  A component's r is the
+cover memo's entry for its local mask, and its mc the repair-count memo's
+entry for the state that excludes nothing, which is the repair count of
+that mask.  A miss splits the mask into connected parts and searches each
+on a node counter of its own; a hit spends nothing, also on a mask that a
+search stored.
 
 ``walk`` runs one sampled permutation for the sampler.  It grows a
 coalition from the empty one, one fact i at a time, and keeps each
-component's connected parts of it with their measures.  A fact that
-conflicts with none of them is a part of its own and changes no value.
-Otherwise adding i merges the parts it touches into one, and
-``part_value`` values only that part: the coalition's value moves by the
-joined part less the parts it replaced, a quotient for mc.  d, mi and p
-need only arithmetic on it.  r and mc read the part's entry in the search
-memos, the key its own search fills, and a miss is one search on a node
-counter of its own.  A minimum cover of the joined part either takes i or
-takes every neighbour of i, so an r miss spends one node and searches only
-the part less i and its neighbours.  A requested fact's marginal is the
-value after it less the value before it.  The walk stops after the last
-requested fact, and for d at the first conflict, after which every
-drastic marginal is 0.  A walk takes the same join steps up to where it
-stops, whichever facts are requested, so one fact's estimate values only
-parts that the estimate of every fact values too.
+component's part of it as one local mask, with its connected parts and
+their measures, so a step costs the same however many facts there are.  A
+fact that conflicts with none of them is a part of its own and changes no
+value.  Otherwise adding i merges the parts it touches into one, and only
+that part is valued: the coalition's value moves by the joined part less
+the parts it replaced, a quotient for mc.  d, mi and p need only
+arithmetic on it.  r and mc read the part's entry in the search memos, the
+key its own search fills; only a miss calls ``part_value``, which is one
+search on a node counter of its own.  A minimum cover of the joined part
+either takes i or takes every neighbour of i, so an r miss spends one node
+and searches only the part less i and its neighbours.  A requested fact's
+marginal is the value after it less the value before it.  The walk stops
+after the last requested fact, and for d at the first conflict, after
+which every drastic marginal is 0.  A walk takes the same join steps up to
+where it stops, whichever facts are requested, so one fact's estimate
+values only parts that the estimate of every fact values too.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .errors import BudgetExceededError, InputError, SchemaError
-from .relational import Database, Fact, FDSet, partner_sums
+from .relational import Database, Fact, FDSet, conflict_components, partner_sums
 
 
 class MeasureKind(enum.Enum):
@@ -96,13 +101,13 @@ class CoalitionEvaluator:
     Bits are numbered one conflict component at a time: components in the
     order of their first fact in load order, facts within a component in
     load order, so each component is a contiguous bit range and ``facts[i]``
-    is the fact of bit i.  Two ``partner_sums`` passes weigh each fact by
-    its bit: on load-order bits to find the components, then on local bits
-    for their masks.  The searches run on a component's local masks, and
-    vertex covers are memoized per induced-subgraph mask and repair counts
-    per (candidates, excluded) search state in per-component memos, so
-    repeated coalition queries (oracles, samplers) stay cheap; a memo hit
-    costs no node of the budget.
+    is the fact of bit i.  The components come from lhs groups
+    (``relational.conflict_components``), and one ``partner_sums`` pass
+    weighs each fact by its local bit for their masks.  The searches run on
+    a component's local masks, and vertex covers are memoized per
+    induced-subgraph mask and repair counts per (candidates, excluded)
+    search state in per-component memos, so repeated coalition queries
+    (oracles, samplers) stay cheap; a memo hit costs no node of the budget.
     """
 
     def __init__(self, db: Database, fds: FDSet, budget: int | None = None):
@@ -111,32 +116,26 @@ class CoalitionEvaluator:
         check_budget(budget)
         self.budget = budget
 
-        def partners(bits: list[int]) -> list[int]:
-            """Each fact's partner mask, fact k weighing ``bits[k]``: partners
-            have distinct bits, so their weights sum to their OR."""
-            sums = {
-                r: partner_sums(db, fds, r, [b for b, f in zip(bits, db.facts) if f.relation == r])
-                for r in db.schema.relation_names
-            }
-            return [sums[f.relation][f.index] for f in db.facts]
-
-        # Partner masks on load-order bits, only to find the components.
-        n = len(db.facts)
-        whole = _parts(partners([1 << k for k in range(n)]), (1 << n) - 1)
-        members = [list(self._bits(part)) for part in whole]
-        local = {k: 1 << j for ks in members for j, k in enumerate(ks)}  # bit in its component
-        adj = partners([local[k] for k in range(n)])
+        # Each fact weighs its bit within its component, so a fact's partner
+        # sum is its neighbours' local mask.
+        members = conflict_components(db, fds)
+        weights = {r: [0] * len(db.facts_of(r)) for r in db.schema.relation_names}
+        for facts in members:
+            for j, fact in enumerate(facts):
+                weights[fact.relation][fact.index] = 1 << j
+        sums = {r: partner_sums(db, fds, r, w) for r, w in weights.items()}
         self.facts: list[Fact] = []
         self.comp_of: list[_Component] = []  # the component of each bit
         self._components: list[_Component] = []
-        # each bit's component, local bit and local neighbours, for walks
-        self._steps: list[tuple[_Component, int, int]] = []
-        for ks in members:
-            comp = _Component(len(self.facts), [adj[k] for k in ks])
-            self.facts += [db.facts[k] for k in ks]
-            self.comp_of += [comp] * len(ks)
+        # each bit's component number, component, local bit, its mask and its
+        # local neighbours, for walks
+        self._steps: list[tuple[int, _Component, int, int, int]] = []
+        for number, facts in enumerate(members):
+            comp = _Component(len(self.facts), [sums[f.relation][f.index] for f in facts])
+            self.facts += facts
+            self.comp_of += [comp] * len(facts)
             self._components.append(comp)
-            self._steps += [(comp, j, a) for j, a in enumerate(comp.adj)]
+            self._steps += [(number, comp, j, 1 << j, a) for j, a in enumerate(comp.adj)]
         self.bit_of = {fact.id: i for i, fact in enumerate(self.facts)}
         self.full_mask = (1 << len(self.facts)) - 1
         # The empty set is one subgraph, whichever component reaches it.
@@ -230,25 +229,26 @@ class CoalitionEvaluator:
             return
         drastic = kind is _D
         product = kind is _MC
+        cover = kind is _R  # r reads the cover memo, as mc the count memo
         single = 1 if product else 0  # the measure of one fact alone, and of none
         value = single
-        parts = {comp: {} for comp in self._components}
+        masks = [0] * len(self._components)  # each component's part of the coalition
+        parts: list[dict[int, int]] = [{} for _ in masks]
         steps = self._steps
         part_value = self.part_value
-        mask = 0
         try:
             for i in order:
-                comp, b, adj = steps[i]
-                touching = adj & mask >> comp.offset
-                own = parts[comp]
+                c, comp, b, bit, adj = steps[i]
+                touching = adj & masks[c]
+                own = parts[c]
                 if not touching:
-                    own[1 << b] = single
+                    own[bit] = single
                     extended = value
                 elif drastic:
                     extended = 1
                 else:
                     # i joins the parts it touches; only the joined part is valued
-                    joined, old = 1 << b, single
+                    joined, old = bit, single
                     for part in list(own):
                         if part & touching:
                             joined |= part
@@ -256,7 +256,15 @@ class CoalitionEvaluator:
                                 old *= own.pop(part)
                             else:
                                 old += own.pop(part)
-                    new = own[joined] = part_value(kind, comp, joined, b, old)
+                    if product:
+                        new = comp.mis_memo.get(joined)
+                    elif cover:
+                        new = comp.vc_memo.get(joined)
+                    else:
+                        new = None
+                    if new is None:
+                        new = part_value(kind, comp, joined, b, old)
+                    own[joined] = new
                     extended = value // old * new if product else value - old + new
                 if i in totals:
                     marginal = extended - value
@@ -271,11 +279,11 @@ class CoalitionEvaluator:
                 value = extended
                 if value and drastic:
                     return  # every later drastic marginal is 0
-                mask |= 1 << i
+                masks[c] |= bit
         except BudgetExceededError as exc:
+            size = sum(mask.bit_count() for mask in masks)
             raise BudgetExceededError(
-                f"measure evaluation aborted on a sampled coalition of size "
-                f"{mask.bit_count()}: {exc}"
+                f"measure evaluation aborted on a sampled coalition of size {size}: {exc}"
             ) from exc
 
     def part_value(self, kind: MeasureKind, comp: _Component, part: int, i: int, old: int) -> int:

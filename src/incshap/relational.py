@@ -1,6 +1,7 @@
 """Relational core: schemas, facts, databases, FDs, conflict graphs, and
-sums over conflict partners from group counts.  `Schema.key` is the one
-grouping key, of conflict graphs, block trees and partner sums alike.
+conflict components and sums over conflict partners from group counts.
+`Schema.key` is the one grouping key, of conflict graphs, block trees and
+partner sums alike.
 
 Constants are opaque strings compared by exact equality; databases are sets
 (duplicate rows within a relation are rejected).  Everything here is
@@ -304,6 +305,44 @@ def merge_lhs(fds: Iterable[FD]) -> tuple[FD, ...]:
         prior = merged.get(fd.lhs)
         merged[fd.lhs] = fd if prior is None else FD(fd.relation, fd.lhs, prior.rhs | fd.rhs)
     return tuple(merged.values())
+
+
+def conflict_components(db: Database, fds: FDSet) -> list[list[Fact]]:
+    """The connected components of the conflict graphs, isolated facts
+    included, without the graphs: in the order of their first fact in load
+    order, each with its facts in load order.
+
+    Every conflict lies in an lhs group of a merged FD (`merge_lhs`) whose
+    facts have two or more rhs projections, and such a group's conflict
+    graph is complete multipartite, so connected.  A union-find joins the
+    facts of each such group.
+    """
+    if db.schema != fds.schema:
+        raise SchemaError("database and FD set are over different schemas")
+    parent = list(range(len(db.facts)))
+    positions: dict[str, list[int]] = {name: [] for name in db.schema.relation_names}
+    for k, fact in enumerate(db.facts):
+        positions[fact.relation].append(k)
+
+    def find(k: int) -> int:
+        while parent[k] != k:
+            parent[k] = parent[parent[k]]
+            k = parent[k]
+        return k
+
+    for relation, places in positions.items():
+        facts = db.facts_of(relation)
+        for fd in merge_lhs(fds.per_relation(relation)):
+            rhs = db.schema.key(relation, fd.rhs)
+            for group in db.schema.group(facts, fd.lhs):
+                if len({rhs(f.values) for f in group}) > 1:
+                    root = find(places[group[0].index])
+                    for f in group[1:]:
+                        parent[find(places[f.index])] = root
+    members: dict[int, list[Fact]] = {}
+    for k, fact in enumerate(db.facts):
+        members.setdefault(find(k), []).append(fact)
+    return list(members.values())
 
 
 def _conflict_terms(fds: Iterable[FD]) -> list[tuple[frozenset[str], int]]:

@@ -296,19 +296,22 @@ def test_shuffle_is_random_shuffle():
     for length in range(131):
         for seed in range(200):
             ours, theirs = list(range(length)), list(range(length))
-            approx._shuffle(random.Random(seed), ours)
+            approx._shuffle(random.Random(seed), ours, approx._shuffle_plan(length))
             random.Random(seed).shuffle(theirs)
             assert ours == theirs, (length, seed)
 
 
 class _RecordingEvaluator(CoalitionEvaluator):
-    """An evaluator that records the largest count any one node counter reaches."""
+    """An evaluator that records the largest count any one node counter
+    reaches, and the nodes that all its searches spend."""
 
     most = 0
+    spent = 0
 
     def _spend(self, nodes, search):
         super()._spend(nodes, search)
         self.most = max(self.most, nodes[0])
+        self.spent += 1
 
 
 def _clustered_hard_instance(clusters: int = 3):
@@ -359,6 +362,17 @@ def test_sampled_r_spends_a_node_per_memo_miss(trains):
 
 def test_sampled_mc_spends_a_node_per_memo_miss(trains):
     _check_least_budget(trains, MeasureKind.MC, "repair enumeration")
+
+
+@pytest.mark.parametrize(("kind", "spent", "most"), [(MeasureKind.R, 9856, 9), (MeasureKind.MC, 11905, 16)])
+def test_walk_spends_the_recorded_nodes(kind, spent, most):
+    """An unbudgeted walk of every fact on the 120 clustered facts misses
+    the memos as often as the walk that kept the coalition as one mask of
+    all facts, whose node counts these are (seed 0, epsilon 0.1, delta 0.05)."""
+    db, fds = _clustered_hard_instance(10)
+    recording = _RecordingEvaluator(db, fds)
+    estimate_all(db, fds, list(db.facts), kind, ApproxParams(0.1, 0.05), engine=recording)
+    assert (recording.spent, recording.most) == (spent, most)
 
 
 @pytest.mark.parametrize(("kind", "budget"), [(MeasureKind.R, 10), (MeasureKind.MC, 16)])

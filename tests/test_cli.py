@@ -374,6 +374,24 @@ def test_sampler_and_total_share_one_evaluator(tmp_path):
     assert json.loads(out)["message"].startswith("whole-database measure of relation 'R': ")
 
 
+@pytest.mark.parametrize(
+    ("m", "least", "search"), [("r", 9, "vertex-cover search"), ("mc", 16, "repair enumeration")]
+)
+def test_least_walk_budget_and_its_refusal(tmp_path, m, least, search):
+    """The sampled walk of every clustered fact finishes from its least
+    budget up; one node less refuses, naming the coalition it was adding to."""
+    manifest = write_clustered_manifest(tmp_path)
+    argv = ["--manifest", manifest, "shapley", "--measure", m, "--all", "--method", "approx"]
+    code, out, _ = run(argv + ["--budget", str(least)])
+    assert code == 0 and len(json.loads(out)["facts"]) == 120
+    code, out, _ = run(argv + ["--budget", str(least - 1)])
+    assert code == 2
+    assert json.loads(out)["message"] == (
+        "measure evaluation aborted on a sampled coalition of size 111: "
+        f"{search} exceeded the node budget of {least - 1}"
+    )
+
+
 def test_one_pass_per_command(tmp_path, monkeypatch):
     """Values and total share one game: a `shapley --all` command builds at
     most one tree per relation holding facts and at most one evaluator."""
