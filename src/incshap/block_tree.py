@@ -2,7 +2,8 @@
 
 For a chain-ordered FD list, level-i block vertices group their parent's
 facts by the i-th lhs; level-i subblock vertices further group a block by
-the i-th rhs.  Both use `Schema.group`, the conflict graph's grouping rule.
+the i-th rhs.  Both use `group_by`, the conflict graph's grouping rule, on
+keys built once per tree.
 Facts in different subblocks of one block always violate that level's FD
 with each other, while facts in different blocks under one subblock never
 conflict at all, so a vertex's consistency structure decomposes over its
@@ -13,10 +14,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import InputError
-from .relational import FD, Fact, Schema
+from .relational import FD, Fact, Schema, group_by
 
 
 class VertexKind(enum.Enum):
@@ -88,20 +89,21 @@ def build_tree(facts: Iterable[Fact], chain: tuple[FD, ...], schema: Schema) -> 
     relation = next(iter(relations)) if relations else ""
     root = Vertex(VertexKind.ROOT, 0, facts)
     if facts:
-        _expand(root, 1, chain, schema)
+        keys = [(schema.key(relation, fd.lhs), schema.key(relation, fd.rhs)) for fd in chain]
+        _expand(root, 1, keys)
     return BlockTree(relation, chain, root, schema)
 
 
-def _expand(parent: Vertex, level: int, chain: tuple[FD, ...], schema: Schema) -> None:
+def _expand(parent: Vertex, level: int, keys: list[tuple[Callable, Callable]]) -> None:
     # A module-level recursion rather than a nested closure: a closure that
     # refers to itself is a reference cycle left for the cyclic collector.
-    if level > len(chain):
+    if level > len(keys):
         return
-    fd = chain[level - 1]
-    for block_facts in schema.group(parent.facts, fd.lhs):
+    lhs, rhs = keys[level - 1]
+    for block_facts in group_by(parent.facts, lhs):
         block = Vertex(VertexKind.BLOCK, level, block_facts)
         parent.children.append(block)
-        for sub_facts in schema.group(block_facts, fd.rhs):
+        for sub_facts in group_by(block_facts, rhs):
             sub = Vertex(VertexKind.SUBBLOCK, level, sub_facts)
             block.children.append(sub)
-            _expand(sub, level + 1, chain, schema)
+            _expand(sub, level + 1, keys)

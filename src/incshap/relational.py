@@ -73,13 +73,19 @@ class Schema:
 
     def group(self, facts: Iterable["Fact"], attributes: Iterable[str]) -> list[tuple["Fact", ...]]:
         """Maximal groups of `facts` (of one relation) equal on `attributes`, in
-        first-fact order: the one grouping rule of conflict graphs and block trees."""
+        first-fact order: `group_by` on this schema's key."""
         facts = tuple(facts)
-        key = self.key(facts[0].relation, attributes) if facts else None
-        groups: dict[Hashable, list[Fact]] = {}
-        for fact in facts:
-            groups.setdefault(key(fact.values), []).append(fact)
-        return [tuple(g) for g in groups.values()]
+        return group_by(facts, self.key(facts[0].relation, attributes)) if facts else []
+
+
+def group_by(facts: Iterable["Fact"], key: Callable[[tuple], Hashable]) -> list[tuple["Fact", ...]]:
+    """Maximal groups of `facts` with equal `key(values)`, in first-fact order:
+    the one grouping rule of conflict graphs and block trees, which build
+    each key once (`Schema.key`) and group many fact sets by it."""
+    groups: dict[Hashable, list[Fact]] = {}
+    for fact in facts:
+        groups.setdefault(key(fact.values), []).append(fact)
+    return [tuple(g) for g in groups.values()]
 
 
 @dataclass(frozen=True)
@@ -285,8 +291,9 @@ def build_conflict_graph(db: Database, fds: FDSet) -> dict[str, ConflictGraph]:
         facts = db.facts_of(relation)
         edges: set[tuple[int, int]] = set()
         for fd in fds.per_relation(relation):
+            rhs = db.schema.key(relation, fd.rhs)
             for group in db.schema.group(facts, fd.lhs):
-                parts = db.schema.group(group, fd.rhs)
+                parts = group_by(group, rhs)
                 for a, part in enumerate(parts):
                     for other in parts[a + 1 :]:
                         for x in part:

@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import incshap
+import instances
 from incshap import FD, Database, FDSet, Schema
+from incshap.io import parse_fd_file
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -43,6 +49,43 @@ def trains():
         ),
     )
     return db, fds
+
+
+def build(instance: instances.Instance) -> tuple[Database, FDSet]:
+    """The database and FD set of a generated instance, built in process."""
+    schema = Schema.from_dict({"R": instance.columns})
+    fds = parse_fd_file("".join(line + "\n" for line in instance.fds), schema)
+    return Database.build(schema, {"R": instance.rows}), fds
+
+
+@pytest.fixture(scope="session")
+def manifest_of(tmp_path_factory):
+    """The manifest path of ``"trains"`` or of an instance in
+    ``instances.NAMED``, each written once per session."""
+    paths = {"trains": DATA_DIR / "trains" / "manifest.json"}
+
+    def path(name: str) -> str:
+        if name not in paths:
+            paths[name] = instances.write_manifest(
+                tmp_path_factory.mktemp(name), instances.NAMED[name]()
+            )
+        return str(paths[name])
+
+    return path
+
+
+_SRC = str(Path(incshap.__file__).resolve().parent.parent)
+
+
+def fresh_cli(argv, timeout: float = 60) -> tuple[int, str, str]:
+    """``python -m incshap argv`` in a fresh process that imports this
+    package: its exit code, stdout and stderr, with no newline translation."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "incshap", *argv], capture_output=True, env=env, timeout=timeout
+    )
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
 
 
 @pytest.fixture(scope="session")

@@ -29,7 +29,9 @@ from incshap.errors import InputError
 from incshap.exact import Game
 from incshap.oracle import shapley_bruteforce_all
 
+import instances
 from conftest import (
+    build,
     random_chain_fds,
     random_instance,
     random_rows,
@@ -314,30 +316,10 @@ class _RecordingEvaluator(CoalitionEvaluator):
         self.spent += 1
 
 
-def _clustered_hard_instance(clusters: int = 3):
-    """Clusters of 12 facts under A -> C, B -> C, no conflict across clusters."""
-    rng = random.Random(0)
-    rows = []
-    for k in range(clusters):
-        combos = [
-            (f"a{k}_{i}", f"b{k}_{j}", f"c{c}") for i in range(3) for j in range(3) for c in range(3)
-        ]
-        rows += rng.sample(combos, 12)
-    schema = Schema.from_dict({"R": ["A", "B", "C"]})
-    fds = FDSet(
-        schema,
-        (
-            FD("R", frozenset({"A"}), frozenset({"C"})),
-            FD("R", frozenset({"B"}), frozenset({"C"})),
-        ),
-    )
-    return Database.build(schema, {"R": rows}), fds
-
-
 def _check_least_budget(trains, kind, search):
     """The largest single node count of an unbudgeted walk is the least budget that finishes it."""
     params = ApproxParams(0.1, 0.05, seed=0)
-    for db, fds in (trains, _clustered_hard_instance()):
+    for db, fds in (trains, build(instances.clustered(3))):
         facts = list(db.facts)
         recording = _RecordingEvaluator(db, fds)
         unbounded = estimate_all(db, fds, facts, kind, params, engine=recording)
@@ -369,7 +351,7 @@ def test_walk_spends_the_recorded_nodes(kind, spent, most):
     """An unbudgeted walk of every fact on the 120 clustered facts misses
     the memos as often as the walk that kept the coalition as one mask of
     all facts, whose node counts these are (seed 0, epsilon 0.1, delta 0.05)."""
-    db, fds = _clustered_hard_instance(10)
+    db, fds = build(instances.clustered(10))
     recording = _RecordingEvaluator(db, fds)
     estimate_all(db, fds, list(db.facts), kind, ApproxParams(0.1, 0.05), engine=recording)
     assert (recording.spent, recording.most) == (spent, most)
@@ -381,7 +363,7 @@ def test_one_fact_walk_fits_the_budget_of_every_fact(kind, budget):
     as the estimate of every fact does, so a budget that finishes every
     fact's walk on the 120 clustered facts also finishes each fact alone,
     with that fact's value from the walk of every fact."""
-    db, fds = _clustered_hard_instance(10)
+    db, fds = build(instances.clustered(10))
     params = ApproxParams(0.1, 0.05)
     every = estimate_all(
         db, fds, list(db.facts), kind, params, engine=CoalitionEvaluator(db, fds, budget=budget)
@@ -399,7 +381,7 @@ def test_value_reads_the_search_memos(kind):
     """After a sampled walk, ``value`` on every mask a search memo holds
     agrees with a fresh evaluator and spends no node, also on a mask that a
     search stored whole and whose connected parts were never searched."""
-    db, fds = _clustered_hard_instance()
+    db, fds = build(instances.clustered(3))
     engine = CoalitionEvaluator(db, fds)
     estimate_all(db, fds, list(db.facts), kind, ApproxParams(0.3, 0.05, seed=0), engine=engine)
     engine.budget = 0
@@ -417,7 +399,7 @@ def test_value_reads_the_search_memos(kind):
 def test_total_after_the_oracle_spends_no_node(kind):
     """The oracle's table holds the whole relation, so the game's total on
     the same evaluator finds it searched."""
-    db, fds = _clustered_hard_instance(1)
+    db, fds = build(instances.clustered(1))
     game = Game(db, fds, kind)
     values = shapley_bruteforce_all(db, fds, list(db.facts), kind, engine=game.evaluator)
     game.evaluator.budget = 0
@@ -429,7 +411,7 @@ def test_total_after_the_oracle_spends_no_node(kind):
 def _interleaved_instance(size: int):
     """The first ``size`` facts of two clusters, loaded alternately, so that
     the two conflict components interleave in load order."""
-    db, fds = _clustered_hard_instance(2)
+    db, fds = build(instances.clustered(2))
     rows = [fact.values for fact in db.facts]
     alternating = [row for pair in zip(rows[:size], rows[12 : 12 + size]) for row in pair]
     return Database.build(db.schema, {"R": alternating}), fds

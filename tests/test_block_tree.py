@@ -22,7 +22,8 @@ from incshap import (
 from incshap.block_tree import VertexKind
 from incshap.errors import InputError
 
-from conftest import random_chain_fds, random_rows
+import instances
+from conftest import build, random_chain_fds, random_rows
 
 
 def _chain(fds, relation):
@@ -31,6 +32,24 @@ def _chain(fds, relation):
 
 def _ids(vertex):
     return [f.id for f in vertex.facts]
+
+
+def test_keys_are_built_once_per_tree(monkeypatch):
+    """A tree of a 400-fact ladder (A -> B, AC -> D; 40 level-1 blocks)
+    builds each chain FD's lhs and rhs key once, not once per vertex."""
+    db, fds = build(instances.ladder(400))
+    chain = _chain(fds, "R")
+    calls = []
+    key = Schema.key
+
+    def counting(self, relation, attributes):
+        calls.append(attributes)
+        return key(self, relation, attributes)
+
+    monkeypatch.setattr(Schema, "key", counting)
+    tree = build_tree(db.facts, chain, db.schema)
+    assert len(list(tree.vertices())) > 100
+    assert len(calls) <= 2 * len(chain)
 
 
 def test_trains_tree_structure(trains):

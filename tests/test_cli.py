@@ -1,23 +1,20 @@
 """End-to-end command-line behavior."""
 
-import hashlib
 import io
 import json
-import os
-import random
-import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import incshap
 import incshap.exact
 import incshap.relational
+import instances
 from incshap.cli import run_command
 from incshap.measures import CoalitionEvaluator
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, fresh_cli
+from test_pins import check, pinned
 
 TRAINS = str(DATA_DIR / "trains" / "manifest.json")
 
@@ -40,20 +37,10 @@ def write_matching_manifest(tmp_path: Path) -> str:
     return str(path)
 
 
-def write_clustered_manifest(tmp_path: Path) -> str:
-    """120 facts in 10 clusters under A -> C, B -> C: no lhs chain."""
-    rng = random.Random(0)
-    rows = []
-    for k in range(10):
-        combos = [(f"a{k}_{i}", f"b{k}_{j}", f"c{c}") for i in range(3) for j in range(3)
-                  for c in range(3)]
-        rows += rng.sample(combos, 12)
-    (tmp_path / "r.csv").write_text("A,B,C\n" + "".join(",".join(r) + "\n" for r in rows))
-    (tmp_path / "r.fds").write_text("R: A -> C\nR: B -> C\n")
-    manifest = {"schema": {"R": ["A", "B", "C"]}, "data": {"R": "r.csv"}, "fds": "r.fds"}
-    path = tmp_path / "manifest.json"
-    path.write_text(json.dumps(manifest))
-    return str(path)
+def assert_pinned(manifest_of, instance: str, argv: str):
+    """The in-process CLI prints what the pin table pins for a fresh process."""
+    code, out, _ = run(["--manifest", manifest_of(instance), *argv.split()])
+    check(pinned(instance, argv), code, out)
 
 
 def test_classify(tmp_path):
@@ -66,18 +53,9 @@ def test_classify(tmp_path):
 
 
 def test_python_dash_m_runs_the_cli():
-    src = str(Path(incshap.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "incshap", "--manifest", TRAINS, "classify"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "Trains: LhsChain" in proc.stdout
+    code, out, err = fresh_cli(["--manifest", TRAINS, "classify"])
+    assert code == 0, err
+    assert "Trains: LhsChain" in out
 
 
 def test_classify_dump_tree():
@@ -96,11 +74,7 @@ def test_measure():
 def test_counts_print_past_the_int_string_limit(tmp_path):
     """3^1350 repairs (645 digits) under a 640-digit int-to-string limit:
     both the measure and a sampled report print the count in full."""
-    rows = "".join(f"a{a},b{b}\n" for a in range(1350) for b in range(3))
-    (tmp_path / "r.csv").write_text("A,B\n" + rows)
-    (tmp_path / "r.fds").write_text("R: A -> B\n")
-    manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({"schema": {"R": ["A", "B"]}, "data": {"R": "r.csv"}, "fds": "r.fds"}))
+    manifest = instances.write_manifest(tmp_path, instances.groups(1350))
     count = 3**1350
     expected = str(count)
     has_limit = hasattr(sys, "set_int_max_str_digits")
@@ -359,10 +333,10 @@ def test_approx_budget_refusal_exits_2():
     assert "refused" in err
 
 
-def test_sampler_and_total_share_one_evaluator(tmp_path):
+def test_sampler_and_total_share_one_evaluator(manifest_of):
     """The total hits the memos of the finished walk, so a budget that every
     sampled step fits also fits the total; a refusal of the total names it."""
-    manifest = write_clustered_manifest(tmp_path)
+    manifest = manifest_of("clustered120")
     for budget in ("10", "20"):
         code, out, _ = run(["--manifest", manifest, "shapley", "--measure", "r", "--all",
                             "--method", "approx", "--budget", budget])
@@ -377,10 +351,10 @@ def test_sampler_and_total_share_one_evaluator(tmp_path):
 @pytest.mark.parametrize(
     ("m", "least", "search"), [("r", 9, "vertex-cover search"), ("mc", 16, "repair enumeration")]
 )
-def test_least_walk_budget_and_its_refusal(tmp_path, m, least, search):
+def test_least_walk_budget_and_its_refusal(manifest_of, m, least, search):
     """The sampled walk of every clustered fact finishes from its least
     budget up; one node less refuses, naming the coalition it was adding to."""
-    manifest = write_clustered_manifest(tmp_path)
+    manifest = manifest_of("clustered120")
     argv = ["--manifest", manifest, "shapley", "--measure", m, "--all", "--method", "approx"]
     code, out, _ = run(argv + ["--budget", str(least)])
     assert code == 0 and len(json.loads(out)["facts"]) == 120
@@ -421,7 +395,7 @@ def test_one_pass_per_command(tmp_path, monkeypatch):
         assert len(trees) == len(set(trees)) and len(evaluators) <= 1, (manifest, m, method)
 
 
-def test_mi_p_build_no_conflict_graph(monkeypatch):
+def test_mi_p_build_no_conflict_graph(monkeypatch, manifest_of):
     """No command builds a conflict graph: exact mi/p values, rankings and
     totals, the sampler and the oracle all read conflicts from group counts
     and keep their values."""
@@ -446,10 +420,7 @@ def test_mi_p_build_no_conflict_graph(monkeypatch):
         _, exact, _ = run(["--manifest", TRAINS, "shapley", "--measure", m, "--all"])
         _, oracle, _ = run(["--manifest", TRAINS, "oracle", "--measure", m, "--all"])
         assert json.loads(oracle)["facts"] == json.loads(exact)["facts"]
-        code, out, _ = run(["--manifest", TRAINS, "shapley", "--measure", m, "--all",
-                            "--method", "approx", "--seed", "7"])
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_APPROX_SHA256[m]
+        assert_pinned(manifest_of, "trains", f"shapley --measure {m} --all --method approx --seed 7")
         assert not calls, m
 
 
@@ -464,101 +435,25 @@ def test_budget_leaves_chain_measures_alone():
     assert out == run(argv)[1]
 
 
-# sha256 of `shapley --all --method approx --seed 7` on Trains, recorded from
-# the per-fact sampler that preceded the shared permutation walk.
-GOLDEN_APPROX_SHA256 = {
-    "d": "e9a532292e94e7c05c3f0dfe8dab4525da04fac6c757cab2404afdd5bfef4b3a",
-    "mi": "625315ab354db3506255bc79346235b55363383a5c74daadf56c0195184937d8",
-    "p": "ac279404611d2c98c25635231d01751244af4aab3fc421875264973c76676bff",
-    "r": "de4e4b78710b162ef15bce8c23bfa443532920e8779311920889f3a7b914c7d4",
-    "mc": "9f1c95466b8d7850b6dc532b6676b200a381491dbe96ef70aec25b400a0df401",
-}
+# The in-process CLI prints the stdout of the pin table's fresh processes.
+@pytest.mark.parametrize("m", ["d", "mc", "mi", "p", "r"])
+def test_golden_approx_reports(manifest_of, m):
+    assert_pinned(manifest_of, "trains", f"shapley --measure {m} --all --method approx --seed 7")
 
 
-@pytest.mark.parametrize("m", sorted(GOLDEN_APPROX_SHA256))
-def test_golden_approx_reports(m):
-    code, out, _ = run(
-        ["--manifest", TRAINS, "shapley", "--measure", m, "--all",
-         "--method", "approx", "--seed", "7"]
-    )
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_APPROX_SHA256[m]
+@pytest.mark.parametrize("m", ["d", "mc", "r"])
+def test_golden_clustered_approx_reports(manifest_of, m):
+    assert_pinned(manifest_of, "clustered120", f"shapley --measure {m} --all --method approx")
 
 
-# sha256 of `shapley --all --method approx` (seed 0) on the 120 clustered
-# facts of ``write_clustered_manifest``, recorded from the sampler that
-# re-split the whole region of each added fact into connected parts.
-GOLDEN_CLUSTERED_SHA256 = {
-    "d": "c5e4955f4298cdc554e5b8a2583f2298c020e6e4fe259e1bb843dcaa00efb2d9",
-    "r": "ee9bd73023a84d53d5a2e4329c2c081f50ea4797c1c67981b820dfcfe47fca66",
-    "mc": "a283f3da7ae8e5a915d7ccfe96e9bbba46ba9446296cc44eb377784903cb142e",
-}
+@pytest.mark.parametrize("m", ["d", "mc", "mi", "p", "r"])
+def test_golden_exact_reports(manifest_of, m):
+    assert_pinned(manifest_of, "trains", f"shapley --measure {m} --all")
 
 
-@pytest.mark.parametrize("m", sorted(GOLDEN_CLUSTERED_SHA256))
-def test_golden_clustered_approx_reports(tmp_path, m):
-    manifest = write_clustered_manifest(tmp_path)
-    code, out, _ = run(
-        ["--manifest", manifest, "shapley", "--measure", m, "--all", "--method", "approx"]
-    )
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CLUSTERED_SHA256[m]
-
-
-# sha256 of exact `shapley --all` on Trains, recorded from the per-fact exact
-# engine that preceded the block-local one.
-GOLDEN_EXACT_SHA256 = {
-    "d": "27fcb03608580db09f6fb5658d1e49c23d92da894f0f012e507ab8957a209d30",
-    "mi": "de27364740ec4211131c26c89255c925015ce6120792e78aaa039805dc0c9422",
-    "p": "fa3466573f58711728e97be9a0242298833d97e286f9f127589d22f20a727669",
-    "r": "102d6bb86ac577533ffe681ee0c8953efe6acf806aacb281eb90321597fc551d",
-    "mc": "11e621ce4702100bcf16774e6232666d868840f0514f3ccd245c51d9a4573a65",
-}
-
-
-@pytest.mark.parametrize("m", sorted(GOLDEN_EXACT_SHA256))
-def test_golden_exact_reports(m):
-    code, out, _ = run(["--manifest", TRAINS, "shapley", "--measure", m, "--all"])
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_EXACT_SHA256[m]
-
-
-def write_ladder_manifest(tmp_path: Path, n: int) -> str:
-    """R(A,B,C,D) under A -> B, AC -> D: n distinct rows (a from n/10 values,
-    b from 3, c from 3, d from 4) drawn from random.Random(0), then sorted and
-    shuffled with the same generator."""
-    rng = random.Random(0)
-    rows = {}
-    while len(rows) < n:
-        row = (f"a{rng.randrange(n // 10)}", f"b{rng.randrange(3)}", f"c{rng.randrange(3)}",
-               f"d{rng.randrange(4)}")
-        rows.setdefault(row, None)
-    rows = sorted(rows)
-    rng.shuffle(rows)
-    (tmp_path / "r.csv").write_text("A,B,C,D\n" + "".join(",".join(r) + "\n" for r in rows))
-    (tmp_path / "r.fds").write_text("R: A -> B\nR: A C -> D\n")
-    manifest = {"schema": {"R": list("ABCD")}, "data": {"R": "r.csv"}, "fds": "r.fds"}
-    path = tmp_path / "manifest.json"
-    path.write_text(json.dumps(manifest))
-    return str(path)
-
-
-# sha256 of exact `shapley --all` on the 400-fact ladder (40 level-1 blocks),
-# recorded from the weight fold with factorial scales and prefix and suffix
-# products that preceded the one-product fold.
-GOLDEN_LADDER_400_SHA256 = {
-    "d": "e26b001269d5cf097cf037207e9d8e667d1603a4b6491973b598a2dc1a89fda2",
-    "mc": "aa1cffb49b48b88b76347daabce3321a9bb18d64345d9c49e17c152e6f06a5d9",
-}
-
-
-@pytest.mark.parametrize("m", sorted(GOLDEN_LADDER_400_SHA256))
-def test_golden_ladder_reports(tmp_path, m):
-    manifest = write_ladder_manifest(tmp_path, 400)
-    code, out, _ = run(["--manifest", manifest, "shapley", "--measure", m, "--all"])
-    assert code == 0
-    assert '"efficiency_check": true' in out
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_LADDER_400_SHA256[m]
+@pytest.mark.parametrize("m", ["d", "mc"])
+def test_golden_ladder_reports(manifest_of, m):
+    assert_pinned(manifest_of, "ladder400", f"shapley --measure {m} --all")
 
 
 def test_budget_checked_by_the_parser():
@@ -585,24 +480,12 @@ def test_a_refused_parse_leaves_the_parser_as_built():
     assert code == 1 and out == "" and "non-negative" in err
     code, out, _ = run(argv)
     assert code == 0
-    src = str(Path(incshap.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    fresh = subprocess.run(
-        [sys.executable, "-m", "incshap", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert fresh.returncode == 0, fresh.stderr
-    assert out == fresh.stdout
+    code, fresh, err = fresh_cli(argv)
+    assert code == 0, err
+    assert out == fresh
 
 
-def test_measure_on_a_large_chain_component(tmp_path):
+def test_measure_on_a_large_chain_component(manifest_of):
     """120 facts in one conflict component: the repair count is read off the tables."""
-    rows = [f"a,b{b},c{c},d{d}" for b in range(2) for c in range(30) for d in range(2)]
-    (tmp_path / "r.csv").write_text("A,B,C,D\n" + "\n".join(rows) + "\n")
-    (tmp_path / "deps.fds").write_text("R: A -> B\nR: A C -> D\n")
-    manifest = {"schema": {"R": list("ABCD")}, "data": {"R": "r.csv"}, "fds": "deps.fds"}
-    path = tmp_path / "manifest.json"
-    path.write_text(json.dumps(manifest))
-    code, out, _ = run(["--manifest", str(path), "measure", "--measure", "mc"])
+    code, out, _ = run(["--manifest", manifest_of("block120"), "measure", "--measure", "mc"])
     assert code == 0 and out == "2147483648\n"

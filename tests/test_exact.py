@@ -56,7 +56,9 @@ from incshap.fd_analysis import TractabilityKind
 from incshap.oracle import shapley_bruteforce_all
 from incshap.relational import _conflict_terms
 
+import instances
 from conftest import (
+    build,
     random_chain_fds,
     random_instance,
     random_rows,
@@ -836,44 +838,18 @@ class TestMeasureFromTables:
 
     def test_large_component_repair_count(self):
         """120 facts in one conflict component with 2^31 repairs, counted by the DP."""
-        schema = Schema.from_dict({"R": ["A", "B", "C", "D"]})
-        fds = FDSet(
-            schema,
-            (
-                FD("R", frozenset({"A"}), frozenset({"B"})),
-                FD("R", frozenset({"A", "C"}), frozenset({"D"})),
-            ),
-        )
-        rows = [
-            ("a", f"b{b}", f"c{c}", f"d{d}") for b in range(2) for c in range(30) for d in range(2)
-        ]
-        db = Database.build(schema, {"R": rows})
+        db, fds = build(instances.one_block(30))
         assert measure(MeasureKind.MC, db, fds) == 2147483648
         assert measure(MeasureKind.R, db, fds) == 90
         assert measure(MeasureKind.DRASTIC, db, fds) == 1
 
     def test_large_component_efficiency(self):
         """Every fact of the 120-fact component: values sum to I(D) - I(empty)."""
-        db, fds = _one_block_instance(30)
+        db, fds = build(instances.one_block(30))
         for kind, total in ((MeasureKind.DRASTIC, 1), (MeasureKind.MC, 2**31 - 1), (MeasureKind.R, 90)):
             empty = 1 if kind is MeasureKind.MC else 0
             assert measure(kind, db, fds) - empty == total
             assert sum(shapley_all(db, fds, db.facts, kind)) == total, kind
-
-
-def _one_block_instance(k):
-    """R(A,B,C,D) under A -> B, AC -> D: the 4k facts ("a", b in 2, c in k, d in 2)
-    form one level-1 block and one conflict component."""
-    schema = Schema.from_dict({"R": ["A", "B", "C", "D"]})
-    fds = FDSet(
-        schema,
-        (
-            FD("R", frozenset({"A"}), frozenset({"B"})),
-            FD("R", frozenset({"A", "C"}), frozenset({"D"})),
-        ),
-    )
-    rows = [("a", f"b{b}", f"c{c}", f"d{d}") for b in range(2) for c in range(k) for d in range(2)]
-    return Database.build(schema, {"R": rows}), fds
 
 
 def _mixed_instance(s_rows):
@@ -889,8 +865,7 @@ def _mixed_instance(s_rows):
             FD("S", frozenset({"B"}), frozenset({"A"})),
         ),
     )
-    rows = [("a", f"b{b}", f"c{c}", f"d{d}") for b in range(2) for c in range(20) for d in range(2)]
-    return Database.build(schema, {"R": rows, "S": s_rows}), fds
+    return Database.build(schema, {"R": instances.one_block(20).rows, "S": s_rows}), fds
 
 
 class TestMixedRelations:
@@ -1027,7 +1002,7 @@ class TestShapeMemo:
         monkeypatch.setitem(_DPS, MeasureKind.R, (leaf, counting(block, 1), counting(join, 0)))
         counts = {}
         for k in (8, 16):
-            db, fds = _one_block_instance(k)
+            db, fds = build(instances.one_block(k))
             children.clear()
             shapley_all(db, fds, db.facts, MeasureKind.R)
             counts[k] = sum(children)
@@ -1043,7 +1018,7 @@ class TestShapeMemo:
             calls.append(self)
             return eq(self, other)
 
-        db, fds = _one_block_instance(16)
+        db, fds = build(instances.one_block(16))
         monkeypatch.setattr(Fact, "__eq__", counted)
         for kind in self.KINDS:
             calls.clear()
@@ -1339,7 +1314,7 @@ class TestPackedProducts:
     def test_power_product_of_the_64_fact_blocks_children(self):
         """The "kept <= k" rows of the two 32-fact children of the 64-fact
         block, for every k: squared, and as two factors."""
-        db, fds = _one_block_instance(16)
+        db, fds = build(instances.one_block(16))
         (unit,) = Game(db, fds, MeasureKind.R).units("R")
         shapes = _Shapes(_DPS[MeasureKind.R])
         tables = [shapes.fold(child) for child in unit.children]
@@ -1479,7 +1454,7 @@ class TestSummedCosts:
 
     def test_random_tables(self):
         rng = random.Random(2326)
-        db, fds = _one_block_instance(1)
+        db, fds = build(instances.one_block(1))
         game = Game(db, fds, MeasureKind.R)
         for trial in range(40):
             n = rng.randint(0, 12)
@@ -1495,7 +1470,7 @@ class TestSummedCosts:
         rng = random.Random(2327)
         for trial in range(10):
             if trial < 3:
-                db, fds = _one_block_instance(rng.randint(1, 5))
+                db, fds = build(instances.one_block(rng.randint(1, 5)))
             else:
                 db, fds = random_instance(rng, chain=True, n_max=14)
             game = Game(db, fds, MeasureKind.R)

@@ -22,11 +22,10 @@ from incshap import (
     measure,
 )
 from incshap.errors import InputError
-from incshap.io import load_instance, load_manifest
 from incshap.measures import _parts
 
-from conftest import random_arbitrary_fds, random_instance, random_rows
-from test_cli import write_ladder_manifest
+import instances
+from conftest import build, random_arbitrary_fds, random_instance, random_rows
 
 
 def test_trains_measures(trains):
@@ -385,12 +384,12 @@ def test_components_are_the_conflict_graph_components():
             ]
 
 
-def test_evaluator_memory_is_linear(tmp_path):
+def test_evaluator_memory_is_linear():
     """Building the evaluator on 4000 shuffled ladder facts (A -> B, AC -> D,
     A from 400 values) peaks below 1000 traced bytes per fact.  Components
     found from partner masks on load-order bits held n-bit sums for every
     fact: a 7.1 MB peak here, 1768 bytes per fact."""
-    db, fds = load_instance(load_manifest(write_ladder_manifest(tmp_path, 4000)))
+    db, fds = build(instances.ladder(4000))
     tracemalloc.start()
     try:
         CoalitionEvaluator(db, fds)
