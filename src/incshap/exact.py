@@ -121,10 +121,15 @@ of the child less the fact; the short factor multiplies by shifts and
 adds.  At a block's last k every child's row is its whole binomial row, so
 that product is C(n, j), with no power.  The full fold keeps each vertex's
 shape and parent and each fact's leaf, so a fold with f left out walks up
-from f's leaf and re-interns only f's path, reading every other child's
-shape from the full fold; isomorphic siblings and units, and other facts'
-paths of the same shape hit the memo, and facts whose unit less f has one
-shape share one value.
+from f's leaf, and each vertex u on f's path is one step: u's full shape,
+its child's on the path, and that child's shape less f.  The step fixes
+u's shape less f, because u's full shape fixes its DP, size and child
+shapes, so a step memo maps it to that shape: the sorted child key is
+built (every other child's shape read from the full fold) and interned
+on the step's first walk only, and once a fact's steps are known its
+fold costs one dict read per path vertex.  Isomorphic siblings and units
+share steps, the memo holds one entry per distinct step, and facts whose
+unit less f has one shape share one value.
 
 The whole-database measure reads the same state.  The pair count is half
 the summed degrees, the problematic-fact count the number of facts with a
@@ -450,13 +455,17 @@ class _Shapes:
     and its table computed once, from the runs of equal child shapes: each
     distinct child table once, with its multiplicity.  A full fold keeps
     each vertex's shape and parent and each fact's leaf, so a fold with a
-    fact left out re-interns only the vertices on the fact's path and reads
-    every other child's shape from the full fold.  A fact's leaf is the one
-    in the last tree folded that holds it, so leave-one-out folds need
-    each fact in one folded tree.  Tables are shared by every vertex of
-    their shape: no caller mutates one.  `powers` holds the packed row
-    powers that block DPs share (`_shared_product`), this memo's only: it
-    is passed to each block DP call.
+    fact left out walks the fact's path.  `steps` maps each step of such a
+    walk, (a vertex's full shape, its child's on the path, that child's
+    shape less the fact), to the vertex's shape less the fact; a step's
+    key is built from the full fold's child shapes and interned on its
+    first walk only, so a fold whose steps are known costs one dict read
+    per path vertex.  A fact's leaf is the one in the last tree folded
+    that holds it, so leave-one-out folds need each fact in one folded
+    tree.  Tables are shared by every vertex of their shape: no caller
+    mutates one.  `powers` holds the packed row powers that block DPs
+    share (`_shared_product`), this memo's only: it is passed to each
+    block DP call.
     """
 
     def __init__(self, dps: tuple):
@@ -466,6 +475,7 @@ class _Shapes:
         self.full: dict[Vertex, int] = {}
         self.parent: dict[Vertex, Vertex] = {}
         self.leaf: dict[Fact, Vertex] = {}
+        self.steps: dict[tuple, int] = {}
         self.powers: dict[tuple, tuple[int, int]] = {}
 
     def shape(self, v: Vertex, out: Fact | None = None) -> int:
@@ -475,19 +485,26 @@ class _Shapes:
         if out is None:
             return self.full[v]
         # Walk up from out's leaf: each vertex on the path counts one fact
-        # fewer, and only its child on the path changes shape.
+        # fewer, and only its child on the path changes shape.  u's full
+        # shape fixes its DP, size and child shapes, so the step fixes u's
+        # shape less out.
         u, child, sid = self.leaf[out], None, None
         while True:
-            size = u.size - 1
-            if child is None or not size:
-                key = (None, size, ())  # an emptied vertex folds to leaf(0)
-            else:
-                children = (sid if c is child else self.full[c] for c in u.children)
-                key = (u.kind is VertexKind.BLOCK, size, tuple(sorted(children)))
-            sid = self._intern(key)
+            was = None if child is None else self.full[child]
+            step = (self.full[u], was, sid)
+            less = self.steps.get(step)
+            if less is None:
+                size = u.size - 1
+                if child is None or not size:
+                    key = (None, size, ())  # an emptied vertex folds to leaf(0)
+                else:
+                    children = [self.full[c] for c in u.children]
+                    children[children.index(was)] = sid
+                    key = (u.kind is VertexKind.BLOCK, size, tuple(sorted(children)))
+                less = self.steps[step] = self._intern(key)
             if u is v:
-                return sid
-            child, u = u, self.parent[u]
+                return less
+            child, u, sid = u, self.parent[u], less
 
     def _fold(self, v: Vertex) -> None:
         if v.is_leaf:
@@ -748,7 +765,9 @@ class Game:
         relation holding facts; repair cost needs one for the relations of
         `facts` only.  Each
         fact costs one more fold of its unit with the fact left out, which
-        refolds only shapes the game has not met yet.
+        refolds only shapes the game has not met yet and builds keys only
+        for path steps it has not walked yet: once they are known, the
+        fold is one dict read per vertex on the fact's path.
         """
         facts, kind = list(facts), self.kind
         self.db.require(facts)

@@ -32,12 +32,25 @@ class Manifest:
     fds_path: Path
 
 
+def _read_text(path: Path, what: str) -> str:
+    """The text of a UTF-8 file; a missing, unreadable or undecodable one is
+    a `LoadError` that names it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise LoadError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise LoadError(f"{path}: cannot read the {what}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise LoadError(
+            f"{path}: the {what} is not UTF-8: {exc.reason} at byte {exc.start}"
+        ) from None
+
+
 def load_manifest(path: str | Path) -> Manifest:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise LoadError(f"manifest not found: {path}") from None
+        raw = json.loads(_read_text(path, "manifest"))
     except json.JSONDecodeError as exc:
         raise LoadError(f"manifest {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -108,11 +121,7 @@ def parse_fd_file(text: str, schema: Schema) -> FDSet:
 
 def _load_relation_csv(attrs: tuple[str, ...], path: Path) -> list[list[str]]:
     """The data rows of a CSV file whose header is `attrs`."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise LoadError(f"data file not found: {path}") from None
-    rows = list(csv.reader(_io.StringIO(text)))
+    rows = list(csv.reader(_io.StringIO(_read_text(path, "data file"))))
     if not rows:
         raise LoadError(f"{path}: missing header row")
     if tuple(rows[0]) != attrs:
@@ -145,10 +154,7 @@ def load_database(manifest: Manifest) -> Database:
 def load_fds(manifest: Manifest) -> FDSet:
     """Load the FD file; a bad line is named by file and line, as in CSV files."""
     path = manifest.fds_path
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise LoadError(f"FD file not found: {path}") from None
+    text = _read_text(path, "FD file")
     try:
         return parse_fd_file(text, manifest.schema)
     except ParseError as exc:

@@ -284,6 +284,33 @@ def test_input_errors_exit_1(tmp_path):
     assert code == 1 and "line 1" in err
 
 
+def test_unreadable_and_undecodable_files_exit_1(tmp_path):
+    """A directory where a file should be, or a CSV that is not UTF-8, exits 1
+    with the file named on stderr, not with a traceback."""
+    (tmp_path / "deps.fds").write_text("R: A -> B\n")
+    (tmp_path / "r.csv").write_text("A,B\na,1\n")
+    (tmp_path / "latin1.csv").write_bytes(b"A,B\ncaf\xe9,1\n")
+    (tmp_path / "dir").mkdir()
+    manifest = tmp_path / "m.json"
+    for data, fds, bad in (
+        ("latin1.csv", "deps.fds", "latin1.csv"),
+        ("dir", "deps.fds", "dir"),
+        ("r.csv", "dir", "dir"),
+    ):
+        schema = {"R": ["A", "B"]}
+        manifest.write_text(json.dumps({"schema": schema, "data": {"R": data}, "fds": fds}))
+        code, out, err = run(["--manifest", str(manifest), "classify"])
+        assert (code, out) == (1, ""), err
+        assert err.startswith(f"error: {tmp_path / bad}: "), err
+    code, out, err = run(["--manifest", str(tmp_path / "latin1.csv"), "classify"])
+    assert code == 1 and out == ""
+    reason = "the manifest is not UTF-8: invalid continuation byte at byte 7"
+    assert err == f"error: {tmp_path / 'latin1.csv'}: {reason}\n"
+    code, out, err = run(["--manifest", str(tmp_path / "dir"), "classify"])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {tmp_path / 'dir'}: cannot read the manifest: ")
+
+
 def test_fd_file_errors_name_the_file(tmp_path, monkeypatch):
     """A bad FD line is named by file and line on stderr, as a bad CSV record is."""
     monkeypatch.chdir(tmp_path)

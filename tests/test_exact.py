@@ -1146,6 +1146,44 @@ class TestSharedPowers:
         assert second.powers
 
 
+class TestStepMemo:
+    """A leave-one-out fold builds the key of each (shape, child shape, child
+    less f) step once, however many facts walk it."""
+
+    KINDS = TestLeaveOneOutFold.KINDS
+
+    def test_block_keys_do_not_grow_with_the_block(self):
+        """Every fact of one_block(k) walks the same steps, so `Game.values`
+        interns as many non-leaf keys, and keeps as many steps, for every k."""
+        keys, memos = {}, {}
+        for k in (8, 16, 30):
+            db, fds = build(instances.one_block(k))
+            for kind in self.KINDS:
+                game = Game(db, fds, kind)
+                game.units("R")
+                shapes, interned = game._shapes, []
+
+                def counted(key, intern=shapes._intern):
+                    interned.append(key[0] is not None)
+                    return intern(key)
+
+                shapes._intern = counted
+                game.values(db.facts)
+                keys[k, kind], memos[k, kind] = sum(interned), shapes
+        assert len(set(keys.values())) == 1, keys
+        assert len({len(shapes.steps) for shapes in memos.values()}) == 1
+
+    def test_steps_are_bounded_by_the_tables(self):
+        """The memory bound: on the 4000-fact ladder the step memo holds no
+        more entries than the shape memo holds tables.  Keys and steps do not
+        depend on the measure, and r's values take the least time."""
+        db, fds = build(instances.ladder(4000))
+        game = Game(db, fds, MeasureKind.R)
+        game.values(db.facts)
+        shapes = game._shapes
+        assert 0 < len(shapes.steps) <= len(shapes.tables)
+
+
 def _random_table(rng, size, rows):
     """A table of `size` facts with random 40-bit entries and entry 0 = 1:
     per-size counts, or (size, kept) rows when `rows`."""
