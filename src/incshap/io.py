@@ -10,7 +10,7 @@ duplicate rows are rejected.  FD files hold one dependency per line:
     Relation: attr attr -> attr attr
 
 with ``_`` for an empty left-hand side, ``#`` comments, and blank lines
-ignored.
+ignored.  Every file is UTF-8, and a leading byte-order mark is skipped.
 """
 
 from __future__ import annotations
@@ -33,10 +33,11 @@ class Manifest:
 
 
 def _read_text(path: Path, what: str) -> str:
-    """The text of a UTF-8 file; a missing, unreadable or undecodable one is
-    a `LoadError` that names it."""
+    """The text of a UTF-8 file, less a leading byte-order mark; a missing,
+    unreadable or undecodable one is a `LoadError` that names it, with
+    decoding errors at their byte offset in the file."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except FileNotFoundError:
         raise LoadError(f"{what} not found: {path}") from None
     except OSError as exc:

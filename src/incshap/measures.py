@@ -35,17 +35,20 @@ their measures, so a step costs the same however many facts there are.  A
 fact that conflicts with none of them is a part of its own and changes no
 value.  Otherwise adding i merges the parts it touches into one, and only
 that part is valued: the coalition's value moves by the joined part less
-the parts it replaced, a quotient for mc.  d, mi and p need only
-arithmetic on it.  r and mc read the part's entry in the search memos, the
-key its own search fills; only a miss calls ``part_value``, which is one
-search on a node counter of its own.  A minimum cover of the joined part
-either takes i or takes every neighbour of i, so an r miss spends one node
-and searches only the part less i and its neighbours.  A requested fact's
-marginal is the value after it less the value before it.  The walk stops
-after the last requested fact, and for d at the first conflict, after
-which every drastic marginal is 0.  A walk takes the same join steps up to
-where it stops, whichever facts are requested, so one fact's estimate
-values only parts that the estimate of every fact values too.
+the parts it replaced, a quotient for mc.  When the component's prefix is
+one part, i touches that part, so the join takes it without a scan.  d, mi
+and p need only arithmetic on the joined part.  r and mc read the part's
+entry in the search memos, the key its own search fills; only a miss calls
+``part_value``, which is one search on a node counter of its own.  A
+minimum cover of the joined part either takes i or takes every neighbour
+of i, so an r miss spends one node and searches only the part less i and
+its neighbours; of that rest's connected parts, one whose cover is stored
+is read before any search, and spends no node, as in ``_vc``.  A requested
+fact's marginal is the value after it less the value before it.  The walk
+stops after the last requested fact, and for d at the first conflict,
+after which every drastic marginal is 0.  A walk takes the same join steps
+up to where it stops, whichever facts are requested, so one fact's
+estimate values only parts that the estimate of every fact values too.
 """
 
 from __future__ import annotations
@@ -219,7 +222,8 @@ class CoalitionEvaluator:
     ) -> None:
         """Walk the permutation ``order`` of every bit, as the module
         docstring describes, adding each requested bit's marginal into
-        ``totals``, keyed by the requested bits.
+        ``totals``, keyed by the requested bits.  A join onto a prefix of
+        one part takes that part without a scan.
 
         Every marginal must lie in ``[0, bound]`` unless ``bound`` is None.
         A budget refusal names the size of the coalition it was adding to.
@@ -248,14 +252,19 @@ class CoalitionEvaluator:
                     extended = 1
                 else:
                     # i joins the parts it touches; only the joined part is valued
-                    joined, old = bit, single
-                    for part in list(own):
-                        if part & touching:
-                            joined |= part
-                            if product:
-                                old *= own.pop(part)
-                            else:
-                                old += own.pop(part)
+                    if len(own) == 1:
+                        # the prefix is one part, so i touches that one
+                        joined, old = own.popitem()
+                        joined |= bit
+                    else:
+                        joined, old = bit, single
+                        for part in list(own):
+                            if part & touching:
+                                joined |= part
+                                if product:
+                                    old *= own.pop(part)
+                                else:
+                                    old += own.pop(part)
                     if product:
                         new = comp.mis_memo.get(joined)
                     elif cover:
@@ -314,12 +323,21 @@ class CoalitionEvaluator:
         return part.bit_count() if kind is _P else 1
 
     def _cost(self, comp: _Component, mask: int, nodes: list | None = None) -> int:
-        """Cover size of a local mask, memoized per mask.  Its connected parts'
-        searches spend ``nodes``, or each a counter of its own if None."""
+        """Cover size of a local mask, memoized per mask.  A miss reads each
+        connected part's stored cover before any search; the searches of
+        the others spend ``nodes``, or each a counter of its own if None."""
         memo = comp.vc_memo if mask else self._empty_vc
         cost = memo.get(mask)
         if cost is None:
-            cost = memo[mask] = sum(self._vc(comp, part, nodes) for part in _parts(comp.adj, mask))
+            # a stored part is read here, as _vc would read it first
+            vc_memo = comp.vc_memo
+            cost = 0
+            for part in _parts(comp.adj, mask):
+                part_cost = vc_memo.get(part)
+                if part_cost is None:
+                    part_cost = self._vc(comp, part, nodes)
+                cost += part_cost
+            memo[mask] = cost
         return cost
 
     def _vc(self, comp: _Component, mask: int, _nodes: list | None = None) -> int:
@@ -411,8 +429,9 @@ class CoalitionEvaluator:
             excluded |= bit
 
 
-def _parts(adj: list[int], mask: int):
+def _parts(adj: list[int], mask: int) -> list[int]:
     """The connected parts of ``mask``, where ``adj[i]`` masks bit i's neighbours."""
+    parts = []
     remaining = mask
     while remaining:
         frontier = remaining & -remaining
@@ -425,8 +444,9 @@ def _parts(adj: list[int], mask: int):
                 grown |= adj[low.bit_length() - 1] & remaining
                 frontier ^= low
             frontier = grown & ~part
-        yield part
+        parts.append(part)
         remaining &= ~part
+    return parts
 
 
 def _pivot_branches(comp: _Component, candidates: int, excluded: int) -> int:

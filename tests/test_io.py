@@ -196,6 +196,27 @@ class TestManifestAndCsv:
         with pytest.raises(LoadError, match=r"FD file not found: .*deps\.fds$"):
             load_fds(load_manifest(path))
 
+    @pytest.mark.parametrize("name", ["manifest.json", "r.csv", "deps.fds"])
+    def test_a_byte_order_mark_is_skipped(self, tmp_path, name):
+        """A manifest, CSV or FD file may start with a UTF-8 byte-order mark."""
+        path = _write_manifest(tmp_path, {"R": ["A", "B"]}, {"R": "r.csv"}, "R: A -> B\n")
+        (tmp_path / "r.csv").write_text("A,B\nx,y\nx,z\n", encoding="utf-8")
+        text = (tmp_path / name).read_text(encoding="utf-8")
+        (tmp_path / name).write_text("\ufeff" + text, encoding="utf-8")
+        db, fds = load_instance(load_manifest(path))
+        assert db.schema.attributes("R") == ("A", "B")
+        assert [fact.values for fact in db.facts] == [("x", "y"), ("x", "z")]
+        assert [(fd.relation, fd.lhs, fd.rhs) for fd in fds] == [("R", {"A"}, {"B"})]
+
+    def test_decoding_errors_count_the_byte_order_mark(self, tmp_path):
+        path = _write_manifest(tmp_path, {"R": ["A", "B"]}, {"R": "r.csv"}, "R: A -> B\n")
+        for prefix, offset in ((b"", 7), (b"\xef\xbb\xbf", 10)):
+            (tmp_path / "r.csv").write_bytes(prefix + b"A,B\ncaf\xe9,1\n")
+            with pytest.raises(
+                LoadError, match=f"the data file is not UTF-8: invalid continuation byte at byte {offset}$"
+            ):
+                load_database(load_manifest(path))
+
     def test_quoted_values_roundtrip(self, tmp_path):
         path = _write_manifest(
             tmp_path, {"R": ["A", "B"]}, {"R": "r.csv"}, "R: A -> B\n"

@@ -269,6 +269,70 @@ def test_the_empty_set_is_one_cover_memo_entry():
     assert engine.value(MeasureKind.R, engine.mask_of(["R:2", "R:3"])) == 1
 
 
+def _components_within(graph, facts) -> list[frozenset[str]]:
+    """The connected components of ``graph`` restricted to ``facts``, as fact-id sets."""
+    inside = {fact.index for fact in facts}
+    components = []
+    while inside:
+        component, frontier = set(), [inside.pop()]
+        while frontier:
+            i = frontier.pop()
+            component.add(i)
+            frontier += graph.neighbors(i) & inside
+            inside -= graph.neighbors(i)
+        components.append(frozenset(graph.facts[i].id for i in component))
+    return components
+
+
+def test_parts_are_the_conflict_graph_components(trains):
+    """On random masks, ``_parts`` partitions each component's local mask
+    into the connected components of the conflict graph restricted to it."""
+    rng = random.Random(35)
+    for db, fds in (trains, build(instances.clustered(3))):
+        engine = CoalitionEvaluator(db, fds)
+        (graph,) = build_conflict_graph(db, fds).values()
+        n = len(db)
+        for mask in [rng.getrandbits(n) for _ in range(200)] + [engine.full_mask]:
+            parts = []
+            for comp in engine._components:
+                local = mask >> comp.offset & comp.full
+                found = _parts(comp.adj, local)
+                union = 0
+                for part in found:
+                    assert part and not part & union
+                    union |= part
+                assert union == local
+                parts += [part << comp.offset for part in found]
+            got = [frozenset(engine.facts[b].id for b in engine._bits(p)) for p in parts]
+            facts = [engine.facts[b] for b in engine._bits(mask)]
+            expected = _components_within(graph, facts)
+            assert len(got) == len(expected) and set(got) == set(expected)
+
+
+def test_cost_searches_only_the_parts_not_stored(trains):
+    """``_cost`` on a two-part mask whose one part a search has stored
+    spends the nodes of a search of the other part alone.
+
+    The referee searches the stored part first too, on a counter of its
+    own, so both evaluators share the empty set's memo entry when the
+    other part is searched."""
+    rng = random.Random(36)
+    for db, fds in (trains, build(instances.clustered(3))):
+        for number, comp in enumerate(CoalitionEvaluator(db, fds)._components):
+            split = [m for m in range(1, comp.full + 1) if len(_parts(comp.adj, m)) == 2]
+            assert split
+            for local in rng.sample(split, min(len(split), 20)):
+                stored, other = _parts(comp.adj, local)[:: rng.choice((1, -1))]
+                engine, referee = CoalitionEvaluator(db, fds), CoalitionEvaluator(db, fds)
+                ours, theirs = engine._components[number], referee._components[number]
+                engine._vc(ours, stored)
+                referee._vc(theirs, stored)
+                nodes, expected = [0], [0]
+                cost = engine._cost(ours, local, nodes)
+                assert cost == ours.vc_memo[stored] + referee._vc(theirs, other, expected)
+                assert nodes == expected
+
+
 def _region_test_instances():
     """Seeded instances of at most 10 facts: arbitrary FDs, then A -> C, B -> C."""
     rng = random.Random(512)
