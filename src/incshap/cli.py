@@ -5,6 +5,11 @@ standard output, diagnostics to standard error.  Exit codes: 0 on
 success, 1 on input errors, 2 on refusals (intractable exact requests,
 oracle size limits, exceeded budgets, unsupported modes), which are also
 emitted as machine-readable JSON objects on standard output.
+
+Each command imports only the modules it runs.  classify loads io,
+relational and fd_analysis (block_tree too with --dump-tree); measure
+adds exact, measures and block_tree; shapley and rank add report, and
+approx or oracle only for that method; a refusal adds report.
 """
 
 from __future__ import annotations
@@ -13,10 +18,7 @@ import argparse
 import functools
 import os
 import sys
-from fractions import Fraction
 
-from .approx import ApproxParams, Mode, estimate_all, sample_count
-from .block_tree import build_tree
 from .errors import (
     BudgetExceededError,
     IncshapError,
@@ -25,12 +27,8 @@ from .errors import (
     OracleLimitError,
     UnsupportedModeError,
 )
-from .exact import Game, measure
 from .fd_analysis import TractabilityKind, classify
 from .io import load_instance, load_manifest
-from .measures import MeasureKind, check_budget
-from .oracle import OracleLimits, shapley_bruteforce_all
-from .report import build_report, decimal_str, render_report
 
 _REFUSALS = (
     IntractableExactError,
@@ -40,6 +38,10 @@ _REFUSALS = (
 )
 
 
+# vars(OracleLimits()): the default size limits of the brute-force oracle.
+_ORACLE_LIMITS = {"max_facts_subsets": 18, "max_facts_perms": 8}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise InputError(message)
@@ -47,6 +49,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _budget(text: str) -> int:
     """A node budget: a non-negative integer."""
+    from .measures import check_budget
+
     try:
         value = int(text)
     except ValueError:
@@ -57,8 +61,13 @@ def _budget(text: str) -> int:
 
 @functools.cache
 def _build_parser() -> _Parser:
-    """The argument parser, built once per process: parsing leaves it unchanged."""
-    parser = _Parser(prog="incshap", description=__doc__)
+    """The argument parser, built once per process: parsing leaves it unchanged.
+
+    The measure and mode choices and the oracle limits are written out, so
+    that building the parser loads no engine; they are the values of
+    MeasureKind, of approx.Mode and of OracleLimits(), in that order."""
+    # The help text leaves out the docstring's last paragraph, on imports.
+    parser = _Parser(prog="incshap", description=__doc__.rsplit("\n\n", 1)[0])
     parser.add_argument("--manifest", required=True, help="instance manifest (JSON)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -73,7 +82,7 @@ def _build_parser() -> _Parser:
         p.add_argument(
             "--measure",
             required=True,
-            choices=[k.value for k in MeasureKind],
+            choices=["d", "mi", "p", "r", "mc"],
             help="d=drastic, mi=violating pairs, p=problematic facts, "
             "r=repair cost, mc=repair count",
         )
@@ -94,12 +103,12 @@ def _build_parser() -> _Parser:
         p.add_argument("--eps", type=float, default=0.1)
         p.add_argument("--delta", type=float, default=0.05)
         p.add_argument(
-            "--mode", choices=[m.value for m in Mode], default=Mode.ADDITIVE.value
+            "--mode", choices=["additive", "multiplicative"], default="additive"
         )
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--samples", type=int, default=None)
         p.add_argument("--budget", type=_budget, default=None)
-        p.set_defaults(form="subsets", **vars(OracleLimits()))
+        p.set_defaults(form="subsets", **_ORACLE_LIMITS)
 
     p_shapley = sub.add_parser("shapley", help="per-fact attribution report")
     add_shapley_args(p_shapley)
@@ -113,7 +122,7 @@ def _build_parser() -> _Parser:
     p_oracle.add_argument("--form", choices=["subsets", "perms"], default="subsets")
     p_oracle.add_argument("--max-facts-subsets", type=int)
     p_oracle.add_argument("--max-facts-perms", type=int)
-    p_oracle.set_defaults(method="oracle", **vars(OracleLimits()))
+    p_oracle.set_defaults(method="oracle", **_ORACLE_LIMITS)
     return parser
 
 
@@ -133,6 +142,8 @@ def _approx_params(args) -> ApproxParams | None:
     """The sampler's parameters; None unless the method is approx."""
     if args.method != "approx":
         return None
+    from .approx import ApproxParams, Mode
+
     return ApproxParams(
         epsilon=args.eps,
         delta=args.delta,
@@ -145,19 +156,27 @@ def _approx_params(args) -> ApproxParams | None:
 def _compute_values(db, fds, facts, kind, args, params):
     """The command's game, (fact id, value) pairs, and estimates by fact id
     when sampling with ``params``.  The oracle runs unbudgeted."""
+    from .exact import Game
+
     ids = [fact.id for fact in facts]
     game = Game(db, fds, kind, budget=None if args.method == "oracle" else args.budget)
     if args.method == "exact":
         return game, list(zip(ids, game.values(facts))), {}
     if args.method == "oracle":
+        from .oracle import OracleLimits, shapley_bruteforce_all
+
         limits = OracleLimits(args.max_facts_subsets, args.max_facts_perms)
         values = shapley_bruteforce_all(db, fds, facts, kind, args.form, limits, game.evaluator)
         return game, list(zip(ids, values)), {}
+    from .approx import estimate_all
+
     estimates = dict(zip(ids, estimate_all(db, fds, facts, kind, params, engine=game.evaluator)))
     return game, [(fact_id, est.value) for fact_id, est in estimates.items()], estimates
 
 
 def _approx_meta(params, kind, n):
+    from .approx import sample_count
+
     return {
         "epsilon": params.epsilon,
         "delta": params.delta,
@@ -174,18 +193,26 @@ def _cmd_classify(args, out):
         cls = classes[relation]
         print(f"{relation}: {cls.kind.value}", file=out)
         if args.dump_tree and cls.kind is TractabilityKind.LHS_CHAIN:
+            from .block_tree import build_tree
+
             tree = build_tree(db.facts_of(relation), cls.chain, db.schema)
             print(tree.dump(), file=out)
     return 0
 
 
 def _cmd_measure(args, out):
+    from .exact import measure
+    from .measures import MeasureKind
+
     db, fds = load_instance(load_manifest(args.manifest))
     print(measure(MeasureKind(args.measure), db, fds, budget=args.budget), file=out)
     return 0
 
 
 def _cmd_shapley(args, out):
+    from .measures import MeasureKind
+    from .report import build_report, render_report
+
     db, fds = load_instance(load_manifest(args.manifest))
     kind = MeasureKind(args.measure)
     facts = list(db.facts) if args.all else [db.get(args.fact)]
@@ -207,12 +234,15 @@ def _cmd_shapley(args, out):
 def _cmd_rank(args, out):
     if args.top < 1:
         raise InputError(f"--top must be at least 1, got {args.top}")
+    from .measures import MeasureKind
+    from .report import decimal_str
+
     db, fds = load_instance(load_manifest(args.manifest))
     kind = MeasureKind(args.measure)
     _, values, _ = _compute_values(db, fds, list(db.facts), kind, args, _approx_params(args))
     ranked = sorted(values, key=lambda item: (-item[1], item[0]))
     for fact_id, value in ranked[: args.top]:
-        print(f"{fact_id}\t{decimal_str(Fraction(value))}", file=out)
+        print(f"{fact_id}\t{decimal_str(value)}", file=out)
     return 0
 
 
@@ -235,6 +265,8 @@ def run_command(argv, stdout=None, stderr=None) -> int:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args, out)
     except _REFUSALS as exc:
+        from .report import render_report
+
         payload = {"error": exc.kind, "message": str(exc)}
         if isinstance(exc, IntractableExactError):
             payload["suggestion"] = exc.suggestion

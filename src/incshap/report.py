@@ -15,9 +15,12 @@ import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as quote
 from math import lcm
+from typing import TYPE_CHECKING
 
-from .approx import Estimate
 from .measures import MeasureKind
+
+if TYPE_CHECKING:
+    from .approx import Estimate
 
 _DECIMAL_CONTEXT = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_EVEN)
 

@@ -77,15 +77,18 @@ def manifest_of(tmp_path_factory):
 _SRC = str(Path(incshap.__file__).resolve().parent.parent)
 
 
-def fresh_cli(argv, timeout: float = 60) -> tuple[int, str, str]:
-    """``python -m incshap argv`` in a fresh process that imports this
-    package: its exit code, stdout and stderr, with no newline translation."""
+def fresh_python(args, timeout: float = 60) -> tuple[int, str, str]:
+    """``python args`` in a fresh process that imports this package: its
+    exit code, stdout and stderr, with no newline translation."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "incshap", *argv], capture_output=True, env=env, timeout=timeout
-    )
+    proc = subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=timeout)
     return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+def fresh_cli(argv, timeout: float = 60) -> tuple[int, str, str]:
+    """``python -m incshap argv`` in a fresh process, as `fresh_python`."""
+    return fresh_python(["-m", "incshap", *argv], timeout)
 
 
 @pytest.fixture(scope="session")
