@@ -131,14 +131,14 @@ fold costs one dict read per path vertex.  Isomorphic siblings and units
 share steps, the memo holds one entry per distinct step, and facts whose
 unit less f has one shape share one value.
 
-The whole-database measure reads the same state.  The pair count is half
-the summed degrees, the problematic-fact count the number of facts with a
-partner.  Entry |B| of a unit's full sums is its consistency
-(drastic), repair count or repair cost: the database is consistent iff
-every unit is, its repair count is the product of the units' and its
-repair cost the sum.  Each relation without an lhs chain goes to the
-game's coalition evaluator, whose searches a node budget bounds, and
-combines with the units the same way.
+The whole-database measure: the pair count is half the summed degrees,
+the problematic-fact count the number of facts with a partner, and the
+drastic measure 1 iff some lhs group holds a conflict, for every FD class
+(`relational.is_consistent`).  Entry |B| of a unit's full sums is its
+repair count or repair cost: the database's repair count is the product
+of the units' and its repair cost the sum.  Each relation without an lhs
+chain goes to the game's coalition evaluator, whose searches a node
+budget bounds, and combines with the units the same way.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ from .block_tree import BlockTree, Vertex, VertexKind, build_tree
 from .errors import BudgetExceededError, InputError, IntractableExactError, SchemaError
 from .fd_analysis import TractabilityKind, classify_relation
 from .measures import CoalitionEvaluator, MeasureKind, check_budget
-from .relational import Database, Fact, FDSet, partner_sums
+from .relational import Database, Fact, FDSet, is_consistent, partner_sums
 
 
 # ---------------------------------------------------------------------------
@@ -812,13 +812,15 @@ class Game:
     def total(self) -> int:
         """The measure of the whole database (see the module notes).
 
-        The evaluator measures one relation without an lhs chain at a time,
-        so a refusal names the relation.
+        For r and mc, the evaluator measures one relation without an lhs
+        chain at a time, so a refusal names the relation.
         """
         kind = self.kind
         if kind is MeasureKind.MI or kind is MeasureKind.P:
             degrees = [d for degs in self.degrees.values() for d in degs]
             return sum(degrees) // 2 if kind is MeasureKind.MI else sum(map(bool, degrees))
+        if kind is MeasureKind.DRASTIC:
+            return int(not is_consistent(self.db, self.fds))
         chains, others = self.classes
         tops = [self._fulls[unit][-1] for r in chains for unit in self.units(r)]
         for relation in others:
@@ -829,9 +831,7 @@ class Game:
                 raise BudgetExceededError(
                     f"whole-database measure of relation {relation!r}: {exc}"
                 ) from exc
-            tops.append(1 - value if kind is MeasureKind.DRASTIC else value)
-        if kind is MeasureKind.DRASTIC:
-            return 1 - prod(tops)
+            tops.append(value)
         return prod(tops) if kind is MeasureKind.MC else sum(tops)
 
 

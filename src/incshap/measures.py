@@ -6,9 +6,9 @@ cardinality-repair cost is its minimum vertex cover.  No edge is listed:
 each fact's neighbours are one bitmask, summed from group counts by
 ``relational.partner_sums``, the rule of the exact engines too.  The
 coalition evaluator computes any measure on any fact subset, whatever the
-FD class, for the sampler, the oracle, and the whole-database measure of
-the relations without an lhs chain (``exact.Game.total``).  Its
-vertex-cover and repair-counting searches are exponential in the worst
+FD class, for the sampler, the oracle, and the ``r``/``mc`` totals of the
+relations without an lhs chain (``exact.Game.total``; ``d``'s needs none).
+Its vertex-cover and repair-counting searches are exponential in the worst
 case and honor an optional node budget that counts memo misses only: vertex
 covers are memoized per induced subgraph, repair counts per search state.
 

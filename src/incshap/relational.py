@@ -1,7 +1,7 @@
 """Relational core: schemas, facts, databases, FDs, conflict graphs, and
-conflict components and sums over conflict partners from group counts.
-`Schema.key` is the one grouping key, of conflict graphs, block trees and
-partner sums alike.
+from group counts: conflict components and consistency (`_conflict_groups`,
+their one rule) and sums over conflict partners.  `Schema.key` is the one
+grouping key, of conflict graphs, block trees and partner sums alike.
 
 Constants are opaque strings compared by exact equality; databases are sets
 (duplicate rows within a relation are rejected).  Everything here is
@@ -314,15 +314,25 @@ def merge_lhs(fds: Iterable[FD]) -> tuple[FD, ...]:
     return tuple(merged.values())
 
 
+def _conflict_groups(db: Database, fds: FDSet, relation: str) -> Iterator[tuple[Fact, ...]]:
+    """Each lhs group of a merged FD (`merge_lhs`) of `relation` whose facts
+    have two or more rhs projections, lazily.  Two facts conflict iff they
+    share such a group and differ on its rhs, and a group's conflict graph
+    is complete multipartite, so connected."""
+    for fd in merge_lhs(fds.per_relation(relation)):
+        rhs = db.schema.key(relation, fd.rhs)
+        for group in db.schema.group(db.facts_of(relation), fd.lhs):
+            if len({rhs(f.values) for f in group}) > 1:
+                yield group
+
+
 def conflict_components(db: Database, fds: FDSet) -> list[list[Fact]]:
     """The connected components of the conflict graphs, isolated facts
     included, without the graphs: in the order of their first fact in load
     order, each with its facts in load order.
 
-    Every conflict lies in an lhs group of a merged FD (`merge_lhs`) whose
-    facts have two or more rhs projections, and such a group's conflict
-    graph is complete multipartite, so connected.  A union-find joins the
-    facts of each such group.
+    A union-find joins the facts of each conflict group (`_conflict_groups`),
+    which is connected and holds every conflict.
     """
     if db.schema != fds.schema:
         raise SchemaError("database and FD set are over different schemas")
@@ -338,14 +348,10 @@ def conflict_components(db: Database, fds: FDSet) -> list[list[Fact]]:
         return k
 
     for relation, places in positions.items():
-        facts = db.facts_of(relation)
-        for fd in merge_lhs(fds.per_relation(relation)):
-            rhs = db.schema.key(relation, fd.rhs)
-            for group in db.schema.group(facts, fd.lhs):
-                if len({rhs(f.values) for f in group}) > 1:
-                    root = find(places[group[0].index])
-                    for f in group[1:]:
-                        parent[find(places[f.index])] = root
+        for group in _conflict_groups(db, fds, relation):
+            root = find(places[group[0].index])
+            for f in group[1:]:
+                parent[find(places[f.index])] = root
     members: dict[int, list[Fact]] = {}
     for k, fact in enumerate(db.facts):
         members.setdefault(find(k), []).append(fact)
@@ -388,8 +394,8 @@ def partner_sums(db: Database, fds: FDSet, relation: str, weights: list[int]) ->
 
 
 def is_consistent(db: Database, fds: FDSet) -> bool:
-    """For FDs, set consistency is pairwise consistency: no fact has a partner."""
+    """For FDs, set consistency is pairwise consistency: no relation has a
+    conflict group (`_conflict_groups`); the test stops at the first."""
     if db.schema != fds.schema:
         raise SchemaError("database and FD set are over different schemas")
-    names = db.schema.relation_names
-    return not any(any(partner_sums(db, fds, r, [1] * len(db.facts_of(r)))) for r in names)
+    return not any(g for r in db.schema.relation_names for g in _conflict_groups(db, fds, r))

@@ -395,7 +395,8 @@ def test_least_walk_budget_and_its_refusal(manifest_of, m, least, search):
 
 def test_one_pass_per_command(tmp_path, monkeypatch):
     """Values and total share one game: a `shapley --all` command builds at
-    most one tree per relation holding facts and at most one evaluator."""
+    most one tree per relation holding facts and at most one evaluator, and
+    a `d` total builds neither."""
     trees, evaluators = [], []
     build_tree, init = incshap.exact.build_tree, CoalitionEvaluator.__init__
 
@@ -420,6 +421,18 @@ def test_one_pass_per_command(tmp_path, monkeypatch):
                           "--method", method])
         assert code == 0
         assert len(trees) == len(set(trees)) and len(evaluators) <= 1, (manifest, m, method)
+    # A d total builds no tree and no evaluator: a sampled d command builds
+    # only the sampler's evaluator, and `measure` builds neither.
+    for manifest in (TRAINS, matching):
+        for argv, built in (
+            (["shapley", "--measure", "d", "--all", "--method", "approx"], 1),
+            (["measure", "--measure", "d"], 0),
+        ):
+            trees.clear()
+            evaluators.clear()
+            code, _, _ = run(["--manifest", manifest, *argv])
+            assert code == 0
+            assert not trees and len(evaluators) == built, (manifest, argv)
 
 
 def test_mi_p_build_no_conflict_graph(monkeypatch, manifest_of):

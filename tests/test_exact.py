@@ -890,6 +890,47 @@ class TestMixedRelations:
             shapley_all(db, fds, db.facts_of("R")[:1], MeasureKind.MC)
 
 
+def _two_attribute(rows, *fds):
+    """R(A, B) holding `rows` under the FDs given as (lhs, rhs) pairs."""
+    schema = Schema.from_dict({"R": ["A", "B"]})
+    fd_set = FDSet(schema, tuple(FD("R", frozenset(lhs), frozenset(rhs)) for lhs, rhs in fds))
+    return Database.build(schema, {"R": rows}), fd_set
+
+
+class TestDrasticTotal:
+    """The `d` total is the consistency test, for every FD class."""
+
+    def test_needs_no_tree_class_evaluator_or_partner_sums(self, trains, monkeypatch):
+        """`measure` and a fresh game's total equal the evaluator's value of
+        the whole database, with every other engine path made to raise."""
+        grid = [(f"a{i}", f"b{j}") for i in range(3) for j in range(3)]
+        cases = [
+            trains,
+            build(instances.clustered(1)),  # HardCRepair
+            _two_attribute(grid, ("A", "B"), ("B", "A")),
+            _two_attribute(grid),  # no FDs
+            _two_attribute([("a", "1"), ("b", "2")], ((), "B")),
+            _mixed_instance([("x", "1"), ("x", "2"), ("y", "2")]),
+            _two_attribute([], ("A", "B")),
+            _two_attribute([("a", "1"), ("b", "2"), ("c", "3")], ("A", "B"), ("B", "A")),
+        ]
+        expected = [
+            CoalitionEvaluator(db, fds).value(MeasureKind.DRASTIC, (1 << len(db)) - 1)
+            for db, fds in cases
+        ]
+        assert expected == [1, 1, 1, 0, 1, 1, 0, 0]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a d total needs no tree, class, evaluator or partner sums")
+
+        for target in ("exact.build_tree", "exact.classify_relation", "relational.partner_sums"):
+            monkeypatch.setattr(f"incshap.{target}", refuse)
+        monkeypatch.setattr(CoalitionEvaluator, "__init__", refuse)
+        for (db, fds), value in zip(cases, expected):
+            assert measure(MeasureKind.DRASTIC, db, fds, budget=0) == value
+            assert Game(db, fds, MeasureKind.DRASTIC).total() == value
+
+
 class TestLeaveOneOutFold:
     """Folding a unit with f left out equals folding a tree built without f."""
 
@@ -926,7 +967,8 @@ class TestLeaveOneOutFold:
         assert {"leaf", "subblock", "unit"} <= emptied, emptied
 
     def test_one_tree_per_relation(self, monkeypatch):
-        """`shapley_all` and `measure` build one tree per relation holding facts."""
+        """`shapley_all` and `measure` build one tree per relation holding
+        facts, except a `d` total, which builds none."""
         calls = []
 
         def counting_build_tree(*args):
@@ -945,7 +987,7 @@ class TestLeaveOneOutFold:
                 assert len(calls) == holding, (trial, kind)
                 calls.clear()
                 measure(kind, db, fds)
-                assert len(calls) == holding, (trial, kind)
+                assert len(calls) == (0 if kind is MeasureKind.DRASTIC else holding), (trial, kind)
 
 
 def _plain_fold(v, dps, out=None):

@@ -141,7 +141,7 @@ def test_unknown_fact(mini):
         shapley_bruteforce_all(db, fds, [unknown], MeasureKind.MI, limits=over)
 
 
-def test_one_pass_per_command(tmp_path, value_calls):
+def test_one_pass_per_command(tmp_path, value_calls, manifest_of):
     """Both forms fill one table with the value of each of the 2^n coalitions
     and read every marginal from it, so `--all` and one `--fact` each make
     exactly 2^n `value` calls, whichever the form."""
@@ -169,3 +169,9 @@ def test_one_pass_per_command(tmp_path, value_calls):
     assert count == 2**6 and len(report["facts"]) == 6
     assert report["efficiency_check"] is True
     assert calls(perms + ["--fact", "R:2"])[0] == 2**6
+
+    # The d total is the consistency test, not one more `value` call, also
+    # on clustered8, which has no lhs chain.
+    clustered8 = ["--manifest", manifest_of("clustered8"), "oracle", "--measure", "d", "--all"]
+    count, report = calls(clustered8)
+    assert count == 2**8 and report["total_measure"] == 1

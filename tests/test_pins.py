@@ -97,6 +97,8 @@ PINS = (
         "861080157383069a0e983f03677c9b8c4d2a6f39bc7190116421835a9aae3dec"),
     Pin("dense4000", "shapley --measure p --all", 20, 0,
         "31fe8dfda51410a80950035a3644df8e98fbdb5a66110af57dad5d5bc8bac17a"),
+    # The d total is 1 iff some lhs group holds a conflict: no tree.
+    Pin("dense4000", "measure --measure d", 20, 0, "1\n"),
     # 3^9100 repairs: a 4342-digit count, past CPython's default
     # int-to-string limit, which the CLI lifts (Decimal prints past it too).
     Pin("groups9100", "measure --measure mc", 20, 0, f"{Decimal(3**9100)}\n"),
@@ -139,6 +141,8 @@ PINS = (
         "72f1356be90e668e8f6e64c9eb0e0bf841ff25e3aca8ea318f078ebe0870abc7"),
     Pin("clustered120", "measure --measure mc --budget 18", 60, 2,
         "af633cd6ec1df656a0d76477e79953a3a20f72474cef2d4c816c5824f9231fbd"),
+    # The d total runs no search on any FD class, so no budget refuses it.
+    Pin("clustered120", "measure --measure d --budget 0", 60, 0, "1\n"),
     # The oracle at its subset limit (18 facts) and its permutation limit
     # (8 facts): one table of the 2^n coalition values serves every fact.
     # The 18-fact reports were recorded while reports were still rendered
